@@ -202,5 +202,4 @@ def host_record(root: Path) -> dict:
             var: os.environ.get(var)
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         },
-        "ref_kernel_ms": reference_kernel_ms(),
     }

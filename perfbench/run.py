@@ -129,12 +129,16 @@ def run_one(args, spec) -> int:
         return 2
     declared = spec["per_layer"] if args.trace else spec["end_to_end"]
     host = report.host_record(ROOT)
-    workload = workloads.WORKLOADS[args.workload](args.seed, args.scale)
+    workload = workloads.WORKLOADS[args.workload](args.seed)
+    # The reference kernel is timed on both sides of the measurement, so
+    # a run that straddles a change of host speed shows it.
+    host["ref_kernel_ms_before"] = report.reference_kernel_ms()
     if args.trace:
         trace_dir = ROOT / ".perfbench" / f"seed{args.seed}"
         metrics, attempted, failed, notes = trace(workload, trace_dir)
     else:
         metrics, attempted, failed, notes = measure(workload, args.seconds)
+    host["ref_kernel_ms_after"] = report.reference_kernel_ms()
     missing = [m["name"] for m in declared if m["name"] not in metrics]
     if missing:
         raise RuntimeError(f"workload {args.workload} did not report {missing}")
@@ -182,7 +186,6 @@ def run_all(args, spec) -> int:
             "--seed", str(args.seed),
             "--seconds", str(args.seconds),
             "--trace", str(args.trace),
-            "--scale", str(args.scale),
         ]
         print(f"== {w['name']}", flush=True)
         proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
@@ -208,12 +211,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="input size factor; below 1 only for smoke tests",
-    )
     args = parser.parse_args(argv)
     if args.workload == "all":
         return run_all(args, spec)

@@ -185,7 +185,7 @@ def _stack_counts(rec: Recorder):
 
 
 def _inner_counts(rec: Recorder):
-    """Sequences handed to the nonlinear driver's stacked solves."""
+    """Sequences handed to the stacked solves of ``drive_batched``."""
 
     def after(args, kwargs, results):
         rec.count("inner.sequences", len(results))

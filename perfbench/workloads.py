@@ -44,13 +44,15 @@ from . import spans
 #: absolute agreement required of every checked output
 TOL = 1e-8
 #: set-up repetitions per run; ``setup_s`` is their median
-SETUP_REPS = 3
+SETUP_REPS = 7
 #: batch-mixed needs this many calls so ten or more lie beyond p90
 MIN_BATCH_CALLS = 100
-#: every percentile is the median over this many equal time windows
-WINDOWS = 20
+#: batch-mixed fleets drawn before the timed loop, far more than a run
+#: makes, so the loop only looks them up
+BATCH_FLEETS = 4096
 
-# serve-open traffic: the offered rate sits below this host's knee
+# serve-open traffic: the offered rate sits below the program's knee on
+# a 2-vCPU Xeon
 SERVE_RATE = 200.0
 SERVE_STREAMS = 128
 SERVE_LAG = 4
@@ -73,24 +75,13 @@ class Outcome:
     notes: dict = field(default_factory=dict)
 
 
-def _windowed_q(times, values, q: float, start: float, end: float) -> float:
-    """Median over ``WINDOWS`` equal time windows of each window's
-    ``q``-th percentile, so one stall of a shared host moves one window
-    and not the run's figure.  A window holding fewer than ten samples
-    beyond the percentile reports, in effect, its largest sample."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    edges = np.linspace(start, end, WINDOWS + 1)
-    window = np.clip(np.searchsorted(edges, times, side="right") - 1, 0, WINDOWS - 1)
-    return float(
-        np.median(
-            [
-                np.percentile(values[window == w], q)
-                for w in range(WINDOWS)
-                if np.any(window == w)
-            ]
-        )
-    )
+def _q(values, q: float) -> float:
+    """The ``q``-th percentile over every sample of the run."""
+    if len(values) == 0:
+        # serve-open emits nothing until a stream has lag + 1 steps,
+        # about 3 s into its schedule
+        raise ValueError("no samples for a percentile: run for more --seconds")
+    return float(np.percentile(np.asarray(values, dtype=float), q))
 
 
 def _setup(build, teardown=None) -> tuple[float, object]:
@@ -149,20 +140,22 @@ class Call:
     raised: bool
 
 
-def _closed_loop(call, item_of, units, keep, seconds, min_calls=1):
+def _closed_loop(call, item_of, keep, seconds, min_calls=1):
     """Issue calls back to back for ``seconds`` (and ``min_calls``).
 
-    ``units(item)`` gives ``(states, sequences)`` delivered by a call.
+    ``item_of(i)`` looks up call ``i``'s input and the ``(states,
+    sequences)`` it delivers, made before the loop.
     ``keep(i, item, out)`` reads the reply as a caller would (``_read``)
-    before the next send, and keeps only what the output checks need, so
-    memory does not grow with the number of calls.  An exception is
-    recorded against its call and the loop goes on.
+    and keeps only what the output checks need, so memory does not grow
+    with the number of calls.  Between a reply and the next send the
+    loop does little else, so the gap times the caller reading a reply.
+    An exception is recorded against its call and the loop goes on.
     """
     calls: list[Call] = []
     begin = sched = _clock()
     i = 0
     while True:
-        item = item_of(i)
+        item, states, seqs = item_of(i)
         start = _clock()
         try:
             out, raised = call(item), False
@@ -170,7 +163,6 @@ def _closed_loop(call, item_of, units, keep, seconds, min_calls=1):
             traceback.print_exc()
             out, raised = None, True
         end = _clock()
-        states, seqs = units(item)
         kept = None if raised else keep(i, item, out)
         calls.append(Call(sched, start, end, kept, states, seqs, raised))
         sched = end
@@ -195,23 +187,19 @@ def _closed_metrics(calls: list[Call], wall: float) -> dict:
     """
     states = sum(c.states for c in calls)
     seqs = sum(c.seqs for c in calls)
-    span = (calls[0].sched, calls[-1].end)
-    ends = [c.end for c in calls]
     took = [c.end - c.start for c in calls]
-    weights = [c.states for c in calls]
-    emit_at = np.repeat(ends, weights)
-    emit = np.repeat([c.end - c.sched for c in calls], weights)
+    emit = np.repeat([c.end - c.sched for c in calls], [c.states for c in calls])
     late = [c.start - c.sched for c in calls]
     return {
         "states_per_s": states / wall,
         "steps_per_s": states / wall,
         "seq_per_s": seqs / wall,
         "problems_per_s": seqs / wall,
-        "call_p50_ms": _windowed_q(ends, took, 50, *span) * 1e3,
-        "call_p90_ms": _windowed_q(ends, took, 90, *span) * 1e3,
-        "emit_p50_ms": _windowed_q(emit_at, emit, 50, *span) * 1e3,
-        "emit_p99_ms": _windowed_q(emit_at, emit, 99, *span) * 1e3,
-        "gen_late_p99_ms": _windowed_q(ends, late, 99, *span) * 1e3,
+        "call_p50_ms": _q(took, 50) * 1e3,
+        "call_p90_ms": _q(took, 90) * 1e3,
+        "emit_p50_ms": _q(emit, 50) * 1e3,
+        "emit_p99_ms": _q(emit, 99) * 1e3,
+        "gen_late_p99_ms": _q(late, 99) * 1e3,
         "converged_frac": 1.0,
     }
 
@@ -266,18 +254,10 @@ class LongSeq(_Workload):
     def call(self, _item):
         return self.smoother.smooth(self.problem)
 
-    def units(self, _item):
-        return self.problem.n_states, 1
-
     def run(self, seconds: float) -> Outcome:
         setup_s, _ = _setup(self.build)
-        calls, wall = _closed_loop(
-            self.call,
-            lambda i: i,
-            self.units,
-            self.keep,
-            seconds,
-        )
+        item = (None, self.problem.n_states, 1)
+        calls, wall = _closed_loop(self.call, lambda i: item, self.keep, seconds)
         metrics = _closed_metrics(calls, wall)
         metrics["setup_s"] = setup_s
         reference = repro.make_smoother("paige-saunders").smooth(self.problem)
@@ -329,37 +309,44 @@ class BatchMixed(_Workload):
             for n, d in zip(lengths, dims)
         ]
         self._rng = rng
-        self._order: list[int] = []
+        self._fleets: list[tuple] = []
+        self._slots: list[int] = []
         self.smoother = None
 
-    def fleet_at(self, i: int) -> list[int]:
-        """Pool indices of call ``i``: consecutive slices of a stream
-        of seeded permutations, so every problem is drawn equally."""
-        need = (i + 1) * self.fleet
-        while len(self._order) < need:
-            self._order.extend(self._rng.permutation(self.pool_size).tolist())
-        return self._order[i * self.fleet : need]
+    def fleet_at(self, i: int) -> tuple[list[int], int, int]:
+        """Pool indices of call ``i``, with its states and sequences.
+
+        Fleets are consecutive slices of seeded permutations, so every
+        problem is drawn equally; each permutation also draws the slot
+        of each of its fleets that the output check keeps.  Fleets are
+        drawn in order and kept, so drawing ahead changes none of them.
+        """
+        while len(self._fleets) <= i:
+            order = self._rng.permutation(self.pool_size).tolist()
+            for f in range(self.pool_size // self.fleet):
+                idx = order[f * self.fleet : (f + 1) * self.fleet]
+                states = sum(self.pool[j].n_states for j in idx)
+                self._fleets.append((idx, states, self.fleet))
+                self._slots.append(int(self._rng.integers(self.fleet)))
+        return self._fleets[i]
 
     def build(self):
         self.smoother = repro.make_smoother("batch-odd-even")
-        self.smoother.smooth_many([self.pool[j] for j in self.fleet_at(0)])
+        self.smoother.smooth_many([self.pool[j] for j in self.fleet_at(0)[0]])
         return self.smoother
 
     def call(self, idx):
         return self.smoother.smooth_many([self.pool[j] for j in idx])
 
-    def units(self, idx):
-        return sum(self.pool[j].n_states for j in idx), len(idx)
-
     def run(self, seconds: float) -> Outcome:
         setup_s, _ = _setup(self.build)
+        self.fleet_at(BATCH_FLEETS)
         # Nearly every call builds a plan; running until the plan cache
         # is full keeps peak memory independent of how many calls fit.
         min_calls = max(MIN_BATCH_CALLS, repro.default_plan_cache().maxsize)
         calls, wall = _closed_loop(
             self.call,
             lambda i: self.fleet_at(i + 1),
-            self.units,
             self.keep,
             seconds,
             min_calls=min_calls,
@@ -373,7 +360,7 @@ class BatchMixed(_Workload):
         """Every slice read; the seeded one of call ``i`` kept for the
         check."""
         read = [_read(r) for r in out]
-        slot = int(np.random.default_rng([self.pool_size, 7, i]).integers(len(idx)))
+        slot = self._slots[i + 1]
         return idx[slot], read[slot]
 
     def check(self, calls) -> int:
@@ -392,7 +379,7 @@ class BatchMixed(_Workload):
         return failed
 
     def trace_pass(self, rec):
-        fleets = [self.fleet_at(i + 1) for i in range(self.trace_calls)]
+        fleets = [self.fleet_at(i + 1)[0] for i in range(self.trace_calls)]
         busy = _traced_calls(self.call, fleets, rec)
         return busy, self.trace_calls * self.fleet, {}
 
@@ -407,25 +394,15 @@ class IplsFleet(_Workload):
     op = "problem"
     trace_calls = 1
     fleet_size = 16
-    #: distinct seeded fleets the timed loop cycles through, so one run
-    #: averages the convergence difficulty of several fleets
-    fleets = 8
 
     def __init__(self, seed: int, scale: float = 1.0):
         k = max(4, int(40 * scale))
         rng = np.random.default_rng([seed, 3])
-        self.fleet_list = []
-        for _ in range(self.fleets):
-            seeds = rng.integers(2**31, size=self.fleet_size)
-            half = self.fleet_size // 2
-            self.fleet_list.append(
-                [repro.pendulum_problem(k, seed=int(s))[0] for s in seeds[:half]]
-                + [
-                    repro.bearings_only_tunnel_problem(k, seed=int(s))[0]
-                    for s in seeds[half:]
-                ]
-            )
-        self.fleet = self.fleet_list[0]
+        seeds = rng.integers(2**31, size=self.fleet_size)
+        half = self.fleet_size // 2
+        self.fleet = [
+            repro.pendulum_problem(k, seed=int(s))[0] for s in seeds[:half]
+        ] + [repro.bearings_only_tunnel_problem(k, seed=int(s))[0] for s in seeds[half:]]
         self.checked = int(rng.integers(self.fleet_size))
         self.smoother = None
 
@@ -437,18 +414,13 @@ class IplsFleet(_Workload):
         self.smoother.smooth_many([self.fleet[0], self.fleet[self.fleet_size // 2]])
         return self.smoother
 
-    def call(self, i):
-        return self.smoother.smooth_many(self.fleet_list[i % self.fleets])
-
-    def units(self, i):
-        fleet = self.fleet_list[i % self.fleets]
-        return sum(p.k + 1 for p in fleet), len(fleet)
+    def call(self, _item):
+        return self.smoother.smooth_many(self.fleet)
 
     def run(self, seconds: float) -> Outcome:
         setup_s, _ = _setup(self.build)
-        calls, wall = _closed_loop(
-            self.call, lambda i: i, self.units, self.keep, seconds
-        )
+        item = (None, sum(p.k + 1 for p in self.fleet), self.fleet_size)
+        calls, wall = _closed_loop(self.call, lambda i: item, self.keep, seconds)
         metrics = _closed_metrics(calls, wall)
         metrics["setup_s"] = setup_s
         attempted = sum(c.seqs for c in calls)
@@ -664,10 +636,10 @@ class ServeOpen(_Workload):
             t0 = _clock()
             out = timed(server.poll)
             done = clock()
-            polls.append((done, _clock() - t0))
+            polls.append(_clock() - t0)
             for sid, ems in out.items():
                 for em in ems:
-                    latency.append((done, done - due_at[sid][em.index]))
+                    latency.append(done - due_at[sid][em.index])
                     emitted.append((sid, em))
 
         t0 = clock()
@@ -680,7 +652,7 @@ class ServeOpen(_Workload):
                 clock.wait_until(deadline)
                 poll()
             clock.wait_until(target)
-            late.append((target, clock() - target))
+            late.append(clock() - target)
             sid = a.stream
             if a.first:
                 problems[sid] = problems_open[sid] = self.stream_problem(info, sid)
@@ -710,7 +682,6 @@ class ServeOpen(_Workload):
         for sid in problems_open:
             tails[sid] = timed(server.close_stream, sid)
         return {
-            "start": t0,
             "wall": wall,
             "late": late,
             "polls": polls,
@@ -736,18 +707,17 @@ class ServeOpen(_Workload):
             self.close()
         windows = sequences.value - before
         wall = r["wall"]
-        span = (r["start"], r["start"] + wall)
         metrics = {
             "setup_s": setup_s,
             "states_per_s": len(r["emitted"]) / wall,
             "steps_per_s": len(schedule) / wall,
             "seq_per_s": windows / wall,
             "problems_per_s": r["closed"] / wall,
-            "call_p50_ms": _windowed_q(*zip(*r["polls"]), 50, *span) * 1e3,
-            "call_p90_ms": _windowed_q(*zip(*r["polls"]), 90, *span) * 1e3,
-            "emit_p50_ms": _windowed_q(*zip(*r["latency"]), 50, *span) * 1e3,
-            "emit_p99_ms": _windowed_q(*zip(*r["latency"]), 99, *span) * 1e3,
-            "gen_late_p99_ms": _windowed_q(*zip(*r["late"]), 99, *span) * 1e3,
+            "call_p50_ms": _q(r["polls"], 50) * 1e3,
+            "call_p90_ms": _q(r["polls"], 90) * 1e3,
+            "emit_p50_ms": _q(r["latency"], 50) * 1e3,
+            "emit_p99_ms": _q(r["latency"], 99) * 1e3,
+            "gen_late_p99_ms": _q(r["late"], 99) * 1e3,
             "converged_frac": 1.0,
         }
         failed = r["raised"] + self.check(r)
