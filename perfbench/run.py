@@ -8,8 +8,11 @@ From the repository root::
 
 ``--trace 0`` measures the end-to-end metrics untraced; ``--trace 1``
 runs a fixed untraced pass and then the same pass with every layer
-wrapped, and reports the per-layer metrics.  Workloads, metrics, units
-and directions are declared in ``BENCHMARK.json``.  Every metric is
+wrapped, and reports the per-layer metrics.  End-to-end times, and the
+rates made from them, are at the nominal host speed: each is scaled by
+a reference kernel timed beside it (``workloads``, ``report``).
+Workloads, metrics, units and directions are declared in
+``BENCHMARK.json``.  Every metric is
 printed by name with its unit, then a host record, then (last line) one
 JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
 The exit code is 1 when an output check failed and 2 when the program

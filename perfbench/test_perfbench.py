@@ -101,7 +101,13 @@ def _fingerprint(w) -> list:
         data = [s.observation.o for p in w.pool for s in p.steps if s.observation]
     elif isinstance(w, workloads.IplsFleet):
         order = [w.checked]
-        data = [s.observation for p in w.fleet for s in p.steps if s.observation is not None]
+        data = [
+            s.observation
+            for fleet in w.fleets
+            for p in fleet
+            for s in p.steps
+            if s.observation is not None
+        ]
     else:
         order = []
         data = [s.observation.G for s in w.problem.steps if s.observation]
@@ -202,6 +208,26 @@ def test_wrappers_are_removed_after_a_traced_pass():
 
 def test_reference_kernel_is_timed():
     assert report.reference_kernel_ms(reps=1) > 0
+
+
+def test_work_times_are_reported_at_the_nominal_host_speed(monkeypatch):
+    # a host half as fast as the nominal one
+    slow = 2 * report.REF_NOMINAL_S
+    monkeypatch.setattr(workloads, "reference_pass", lambda: slow)
+    monkeypatch.setattr(workloads, "reference_s", lambda: slow)
+    metrics, _, _, notes = run.measure(workloads.LongSeq(8, SMOKE), 0.0)
+    assert notes["host_scale"] == [0.5, 0.5, 0.5]
+    assert metrics["states_per_s"] == pytest.approx(
+        2 * notes["wall_clock"]["states_per_s"]
+    )
+
+    clock = workloads._HostClock()
+    t0, real = clock(), time.perf_counter()
+    time.sleep(0.05)
+    worked = clock() - t0
+    assert 0.5 * 0.05 <= worked <= 0.5 * (time.perf_counter() - real)
+    clock.wait_until(t0 + 10.0)
+    assert t0 + 10.0 <= clock() < t0 + 10.01
 
 
 def test_exits_nonzero_without_the_program(tmp_path):

@@ -12,8 +12,8 @@ own ``worker_pool()``.
 * ``batch-mixed`` - offline ``smooth_many`` over fleets of mixed
   lengths and state dims, where bucketing, plan builds and stacking are
   paid on nearly every call.
-* ``ipls-fleet`` - the sigma-point IPLS ``smooth_many`` of a 16-problem
-  nonlinear fleet, the only user of ``model.nonlinear`` and
+* ``ipls-fleet`` - the sigma-point IPLS ``smooth_many`` of 16-problem
+  nonlinear fleets, the only user of ``model.nonlinear`` and
   ``nonlinear.batched``.
 * ``serve-open`` - live traffic: an open-loop arrival schedule into a
   ``ShardedStreamServer`` with a 50 ms SLO, the only user of
@@ -21,6 +21,14 @@ own ``worker_pool()``.
 
 The three closed loops issue each call when the previous one returns,
 so a call's scheduled send time is the previous call's return.
+
+The shared host the benchmark runs on changes speed by up to 1.7x over
+seconds to minutes, so every duration of work is reported at the
+nominal host speed: it is multiplied by ``REF_NOMINAL_S`` over the time
+of the reference passes measured around it.  Set-ups and closed-loop
+calls are scaled directly; ``serve-open`` is replayed on a clock that
+advances at the scaled speed (``_HostClock``).  The wall-clock figures
+are kept in the run record.
 """
 
 from __future__ import annotations
@@ -40,11 +48,12 @@ from repro.parallel import worker_pool
 from repro.stream import ShardedStreamServer, StreamStep
 
 from . import spans
+from .report import REF_NOMINAL_S, reference_pass, reference_s
 
 #: absolute agreement required of every checked output
 TOL = 1e-8
 #: set-up repetitions per run; ``setup_s`` is their median
-SETUP_REPS = 7
+SETUP_REPS = 5
 #: batch-mixed needs this many calls so ten or more lie beyond p90
 MIN_BATCH_CALLS = 100
 #: batch-mixed fleets drawn before the timed loop, far more than a run
@@ -61,6 +70,23 @@ SERVE_SLO = 0.05
 SERVE_OUT_OF_ORDER = 0.02
 SERVE_STREAM_STEPS = (16, 48)
 SERVE_CHECKED = 16
+#: a run replays this many times ``--seconds`` of schedule: the generator
+#: works about a quarter of schedule time on the nominal host, so the
+#: replay takes about ``--seconds`` there
+SERVE_SPAN = 4
+#: real seconds between reference samples of a ``serve-open`` replay
+REF_EVERY_S = 0.25
+#: a closed-loop call is scaled by the mean reference pass of the samples
+#: taken from this many seconds before it starts to as long after it ends
+REF_WINDOW_S = 1.0
+#: after each closed-loop call the reference kernel runs for this share
+#: of the call's time, and at least ``REF_PASSES`` passes: a long call
+#: averages over the host's short swings, so its reference must too
+REF_SHARE = 0.05
+REF_PASSES = 3
+#: ipls-fleet smooths this many seeded fleets in turn, and a run ends
+#: only after whole rounds, so every run averages the same fleets
+IPLS_FLEETS = 3
 
 _clock = time.perf_counter
 
@@ -84,21 +110,33 @@ def _q(values, q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=float), q))
 
 
-def _setup(build, teardown=None) -> tuple[float, object]:
-    """Median seconds of ``SETUP_REPS`` cold set-ups; keeps the last.
+def _scale(ref: float) -> float:
+    """Factor that brings a duration timed while a reference pass took
+    ``ref`` seconds to the nominal host speed."""
+    return REF_NOMINAL_S / ref
+
+
+def _setup(build, teardown=None) -> tuple[float, float, object]:
+    """Median seconds of ``SETUP_REPS`` cold set-ups at the nominal host
+    speed, the same median in wall-clock seconds, and the last set-up's
+    state.
 
     The process-wide plan cache is emptied before each repetition so
     every one pays the plan-cache fill.
     """
-    times, state = [], None
+    scaled, wall, state = [], [], None
+    ref = reference_s()
     for _ in range(SETUP_REPS):
         if state is not None and teardown is not None:
             teardown(state)
         repro.default_plan_cache().clear()
         t0 = _clock()
         state = build()
-        times.append(_clock() - t0)
-    return statistics.median(times), state
+        wall.append(_clock() - t0)
+        after = reference_s()
+        scaled.append(wall[-1] * _scale((ref + after) / 2))
+        ref = after
+    return statistics.median(scaled), statistics.median(wall), state
 
 
 def _max_err(a, b) -> float:
@@ -138,10 +176,13 @@ class Call:
     states: int
     seqs: int
     raised: bool
+    #: ``_scale`` of the reference samples around the call
+    scale: float = 1.0
 
 
-def _closed_loop(call, item_of, keep, seconds, min_calls=1):
-    """Issue calls back to back for ``seconds`` (and ``min_calls``).
+def _closed_loop(call, item_of, keep, seconds, min_calls=1, rounds=1):
+    """Issue calls back to back for ``seconds`` (and ``min_calls``), and
+    stop after a multiple of ``rounds`` calls.
 
     ``item_of(i)`` looks up call ``i``'s input and the ``(states,
     sequences)`` it delivers, made before the loop.
@@ -149,10 +190,24 @@ def _closed_loop(call, item_of, keep, seconds, min_calls=1):
     and keeps only what the output checks need, so memory does not grow
     with the number of calls.  Between a reply and the next send the
     loop does little else, so the gap times the caller reading a reply.
-    An exception is recorded against its call and the loop goes on.
+    The reference kernel is sampled after each reply, outside both the
+    call and the gap; each call and the gap before it are scaled by the
+    mean pass of the samples within ``REF_WINDOW_S`` of the call.  An
+    exception is recorded against its call and the loop goes on.
     """
+
+    def sample(at_least):
+        spent, passes = 0.0, 0
+        while passes < REF_PASSES or spent < at_least:
+            spent += reference_pass()
+            passes += 1
+        ref_at.append(_clock())
+        return spent, passes
+
     calls: list[Call] = []
-    begin = sched = _clock()
+    ref_at: list[float] = []
+    refs = [sample(0.0)]
+    begin = sched = ref_at[0]
     i = 0
     while True:
         item, states, seqs = item_of(i)
@@ -163,12 +218,23 @@ def _closed_loop(call, item_of, keep, seconds, min_calls=1):
             traceback.print_exc()
             out, raised = None, True
         end = _clock()
+        refs.append(sample(REF_SHARE * (end - start)))
         kept = None if raised else keep(i, item, out)
         calls.append(Call(sched, start, end, kept, states, seqs, raised))
-        sched = end
+        sched = ref_at[-1]
         i += 1
-        if end - begin >= seconds and i >= min_calls:
-            return calls, end - begin
+        if end - begin >= seconds and i >= min_calls and i % rounds == 0:
+            break
+    ref_at = np.asarray(ref_at)
+    spent = np.cumsum([0.0] + [r[0] for r in refs])
+    passes = np.cumsum([0] + [r[1] for r in refs])
+    for i, c in enumerate(calls):
+        lo, hi = np.searchsorted(ref_at, [c.sched - REF_WINDOW_S, c.end + REF_WINDOW_S])
+        # at least samples i and i + 1, on either side of the call
+        lo, hi = min(lo, i), max(hi, i + 2)
+        level = (spent[hi] - spent[lo]) / (passes[hi] - passes[lo])
+        c.scale = _scale(level)
+    return calls
 
 
 def _checked(i: int) -> bool:
@@ -177,31 +243,46 @@ def _checked(i: int) -> bool:
     return i == 1 or i % 8 == 0
 
 
-def _closed_metrics(calls: list[Call], wall: float) -> dict:
-    """Metrics every closed loop reports the same way.
+def _closed_metrics(calls: list[Call]) -> tuple[dict, dict]:
+    """Metrics every closed loop reports the same way, at the nominal
+    host speed, and the run record's wall-clock figures.
 
     Every state of a call is due at the call's scheduled send time and
     delivered when it returns, so emission latency is weighted by
     states; the generator is late by the gap between a reply and the
-    next send.
+    next send.  The run's time is the sum of its gaps and calls, so the
+    reference samples are not in it.
     """
     states = sum(c.states for c in calls)
     seqs = sum(c.seqs for c in calls)
-    took = [c.end - c.start for c in calls]
-    emit = np.repeat([c.end - c.sched for c in calls], [c.states for c in calls])
-    late = [c.start - c.sched for c in calls]
-    return {
+    scale = np.array([c.scale for c in calls])
+    took = np.array([c.end - c.start for c in calls])
+    busy = np.array([c.end - c.sched for c in calls])
+    late = np.array([c.start - c.sched for c in calls])
+    wall = float(np.sum(busy * scale))
+    emit = np.repeat(busy * scale, [c.states for c in calls])
+    metrics = {
         "states_per_s": states / wall,
         "steps_per_s": states / wall,
         "seq_per_s": seqs / wall,
         "problems_per_s": seqs / wall,
-        "call_p50_ms": _q(took, 50) * 1e3,
-        "call_p90_ms": _q(took, 90) * 1e3,
+        "call_p50_ms": _q(took * scale, 50) * 1e3,
+        "call_p90_ms": _q(took * scale, 90) * 1e3,
         "emit_p50_ms": _q(emit, 50) * 1e3,
         "emit_p99_ms": _q(emit, 99) * 1e3,
-        "gen_late_p99_ms": _q(late, 99) * 1e3,
         "converged_frac": 1.0,
     }
+    notes = {
+        "calls": len(calls),
+        "gen_late_p99_ms": _q(late * scale, 99) * 1e3,
+        "host_scale": [float(np.min(scale)), float(np.median(scale)), float(np.max(scale))],
+        "wall_clock": {
+            "states_per_s": states / float(np.sum(busy)),
+            "seq_per_s": seqs / float(np.sum(busy)),
+            "call_p50_ms": _q(took, 50) * 1e3,
+        },
+    }
+    return metrics, notes
 
 
 def _traced_calls(call, items, rec: spans.Recorder | None) -> float:
@@ -255,18 +336,19 @@ class LongSeq(_Workload):
         return self.smoother.smooth(self.problem)
 
     def run(self, seconds: float) -> Outcome:
-        setup_s, _ = _setup(self.build)
+        setup_s, setup_wall, _ = _setup(self.build)
         item = (None, self.problem.n_states, 1)
-        calls, wall = _closed_loop(self.call, lambda i: item, self.keep, seconds)
-        metrics = _closed_metrics(calls, wall)
+        calls = _closed_loop(self.call, lambda i: item, self.keep, seconds)
+        metrics, notes = _closed_metrics(calls)
         metrics["setup_s"] = setup_s
+        notes["wall_clock"]["setup_s"] = setup_wall
         reference = repro.make_smoother("paige-saunders").smooth(self.problem)
         failed = sum(
             c.states
             for c in calls
             if c.raised or (c.out is not None and not _matches(c.out, reference))
         )
-        return Outcome(metrics, sum(c.states for c in calls), failed)
+        return Outcome(metrics, sum(c.states for c in calls), failed, notes)
 
     @staticmethod
     def keep(i: int, _item, out):
@@ -295,8 +377,8 @@ class BatchMixed(_Workload):
         # Lengths and state dims are stratified over the pool so every
         # seed offers the same mix; the seed decides values, order,
         # missing observations and the fleets drawn from the pool.
-        lengths = np.linspace(8, max(8, int(128 * scale)), self.pool_size)
-        lengths = rng.permutation(np.round(lengths).astype(int))
+        grid = np.round(np.linspace(8, max(8, int(128 * scale)), self.pool_size))
+        lengths = rng.permutation(grid.astype(int))
         dims = rng.permutation(np.resize([2, 4, 6], self.pool_size))
         self.pool = [
             repro.random_problem(
@@ -308,23 +390,52 @@ class BatchMixed(_Workload):
             )
             for n, d in zip(lengths, dims)
         ]
+        # Set-up's first call: a short and a long problem of every state
+        # dim, the same for every seed, so set-up does the same work on
+        # every seed.
+        self.warm = [
+            repro.random_problem(
+                k=int(n) - 1, seed=s, dims=d, obs_prob=0.85, random_cov=True
+            )
+            for s, (d, n) in enumerate(
+                (d, n) for d in (2, 4, 6) for n in np.percentile(grid, [25, 75]).round()
+            )
+        ]
         self._rng = rng
+        self._strata = self._stratify()
         self._fleets: list[tuple] = []
         self._slots: list[int] = []
         self.smoother = None
 
+    def _stratify(self) -> list[list[int]]:
+        """Pool indices in ``fleet`` strata: per state dim, its problems
+        split by length into equal halves."""
+        by_dim: dict[int, list[int]] = {}
+        for j, p in enumerate(self.pool):
+            by_dim.setdefault(p.state_dims[0], []).append(j)
+        per_dim = self.fleet // len(by_dim)
+        strata = []
+        for d in sorted(by_dim):
+            js = sorted(by_dim[d], key=lambda j: self.pool[j].n_states)
+            size = len(js) // per_dim
+            strata += [js[s * size : (s + 1) * size] for s in range(per_dim)]
+        return strata
+
     def fleet_at(self, i: int) -> tuple[list[int], int, int]:
         """Pool indices of call ``i``, with its states and sequences.
 
-        Fleets are consecutive slices of seeded permutations, so every
-        problem is drawn equally; each permutation also draws the slot
-        of each of its fleets that the output check keeps.  Fleets are
-        drawn in order and kept, so drawing ahead changes none of them.
+        A fleet takes one problem from each stratum - a short and a long
+        one of every state dim - so the work of a call varies little and
+        the tail percentiles are not decided by a few unlucky draws.
+        Each round permutes every stratum, so every problem is drawn
+        equally, and also draws the slot of each of its fleets that the
+        output check keeps.  Fleets are drawn in order and kept, so
+        drawing ahead changes none of them.
         """
         while len(self._fleets) <= i:
-            order = self._rng.permutation(self.pool_size).tolist()
-            for f in range(self.pool_size // self.fleet):
-                idx = order[f * self.fleet : (f + 1) * self.fleet]
+            rounds = [self._rng.permutation(s).tolist() for s in self._strata]
+            for f in range(len(rounds[0])):
+                idx = [order[f] for order in rounds]
                 states = sum(self.pool[j].n_states for j in idx)
                 self._fleets.append((idx, states, self.fleet))
                 self._slots.append(int(self._rng.integers(self.fleet)))
@@ -332,35 +443,36 @@ class BatchMixed(_Workload):
 
     def build(self):
         self.smoother = repro.make_smoother("batch-odd-even")
-        self.smoother.smooth_many([self.pool[j] for j in self.fleet_at(0)[0]])
+        self.smoother.smooth_many(self.warm)
         return self.smoother
 
     def call(self, idx):
         return self.smoother.smooth_many([self.pool[j] for j in idx])
 
     def run(self, seconds: float) -> Outcome:
-        setup_s, _ = _setup(self.build)
+        setup_s, setup_wall, _ = _setup(self.build)
         self.fleet_at(BATCH_FLEETS)
         # Nearly every call builds a plan; running until the plan cache
         # is full keeps peak memory independent of how many calls fit.
         min_calls = max(MIN_BATCH_CALLS, repro.default_plan_cache().maxsize)
-        calls, wall = _closed_loop(
+        calls = _closed_loop(
             self.call,
-            lambda i: self.fleet_at(i + 1),
+            self.fleet_at,
             self.keep,
             seconds,
             min_calls=min_calls,
         )
-        metrics = _closed_metrics(calls, wall)
+        metrics, notes = _closed_metrics(calls)
         metrics["setup_s"] = setup_s
+        notes["wall_clock"]["setup_s"] = setup_wall
         failed = self.check(calls)
-        return Outcome(metrics, sum(c.seqs for c in calls), failed)
+        return Outcome(metrics, sum(c.seqs for c in calls), failed, notes)
 
     def keep(self, i: int, idx, out):
         """Every slice read; the seeded one of call ``i`` kept for the
         check."""
         read = [_read(r) for r in out]
-        slot = self._slots[i + 1]
+        slot = self._slots[i]
         return idx[slot], read[slot]
 
     def check(self, calls) -> int:
@@ -379,7 +491,7 @@ class BatchMixed(_Workload):
         return failed
 
     def trace_pass(self, rec):
-        fleets = [self.fleet_at(i + 1)[0] for i in range(self.trace_calls)]
+        fleets = [self.fleet_at(i)[0] for i in range(self.trace_calls)]
         busy = _traced_calls(self.call, fleets, rec)
         return busy, self.trace_calls * self.fleet, {}
 
@@ -398,35 +510,57 @@ class IplsFleet(_Workload):
     def __init__(self, seed: int, scale: float = 1.0):
         k = max(4, int(40 * scale))
         rng = np.random.default_rng([seed, 3])
-        seeds = rng.integers(2**31, size=self.fleet_size)
         half = self.fleet_size // 2
-        self.fleet = [
-            repro.pendulum_problem(k, seed=int(s))[0] for s in seeds[:half]
-        ] + [repro.bearings_only_tunnel_problem(k, seed=int(s))[0] for s in seeds[half:]]
+        # How many problems of a fleet converge, and so how many outer
+        # iterations a call makes, differs from fleet to fleet; a run
+        # smooths several fleets so that its rate does not hang on one.
+        self.fleets = []
+        for _ in range(IPLS_FLEETS):
+            seeds = rng.integers(2**31, size=self.fleet_size)
+            self.fleets.append(
+                [repro.pendulum_problem(k, seed=int(s))[0] for s in seeds[:half]]
+                + [
+                    repro.bearings_only_tunnel_problem(k, seed=int(s))[0]
+                    for s in seeds[half:]
+                ]
+            )
+        self.fleet = self.fleets[0]
         self.checked = int(rng.integers(self.fleet_size))
+        # The first call covers one problem of each model, so every
+        # layer is entered once without paying a whole fleet per
+        # repetition.  They are the same for every seed, so set-up does
+        # the same work on every seed.
+        self.warm = [
+            repro.pendulum_problem(k, seed=0)[0],
+            repro.bearings_only_tunnel_problem(k, seed=0)[0],
+        ]
         self.smoother = None
 
     def build(self):
-        # The first call covers one problem of each model, so every
-        # layer is entered once without paying a whole fleet per
-        # repetition.
         self.smoother = repro.make_smoother("ipls")
-        self.smoother.smooth_many([self.fleet[0], self.fleet[self.fleet_size // 2]])
+        self.smoother.smooth_many(self.warm)
         return self.smoother
 
-    def call(self, _item):
-        return self.smoother.smooth_many(self.fleet)
+    def call(self, fleet):
+        return self.smoother.smooth_many(fleet)
 
     def run(self, seconds: float) -> Outcome:
-        setup_s, _ = _setup(self.build)
-        item = (None, sum(p.k + 1 for p in self.fleet), self.fleet_size)
-        calls, wall = _closed_loop(self.call, lambda i: item, self.keep, seconds)
-        metrics = _closed_metrics(calls, wall)
+        setup_s, setup_wall, _ = _setup(self.build)
+        states = sum(p.k + 1 for p in self.fleet)
+        calls = _closed_loop(
+            self.call,
+            lambda i: (self.fleets[i % IPLS_FLEETS], states, self.fleet_size),
+            self.keep,
+            seconds,
+            rounds=IPLS_FLEETS,
+        )
+        metrics, notes = _closed_metrics(calls)
         metrics["setup_s"] = setup_s
+        notes["wall_clock"]["setup_s"] = setup_wall
         attempted = sum(c.seqs for c in calls)
         converged = sum(c.out[0] for c in calls if not c.raised)
         metrics["converged_frac"] = converged / attempted
-        return Outcome(metrics, attempted, self.check(calls))
+        return Outcome(metrics, attempted, self.check(calls), notes)
 
     def keep(self, i: int, _item, out):
         """Every problem read; converged and non-finite objective counts;
@@ -454,7 +588,7 @@ class IplsFleet(_Workload):
         return failed
 
     def trace_pass(self, rec):
-        busy = _traced_calls(self.call, range(self.trace_calls), rec)
+        busy = _traced_calls(self.call, [self.fleet] * self.trace_calls, rec)
         return busy, self.trace_calls * self.fleet_size, {}
 
 
@@ -493,6 +627,40 @@ class _WallClock:
         delay = t - time.monotonic()
         if delay > 0:
             time.sleep(delay)
+
+
+class _HostClock:
+    """Clock for replaying a schedule at the nominal host speed.
+
+    While the generator works - in the server's calls, including their
+    fan-out over the worker pool - the clock advances by real time
+    times the host scale (``_scale`` of the last reference samples).
+    Where a real generator would sleep until its next event, the clock
+    jumps there instead; at most every ``REF_EVERY_S`` of real time the
+    reference kernel is sampled during such a jump, so sampling costs
+    no clock time.  The server reads this clock for its deadlines and
+    its SLO controller, so the open loop - lateness, backlog, flush
+    composition - plays out as it would on the nominal host.
+    """
+
+    def __init__(self):
+        self.refs = [reference_s()]
+        self._base, self._mark = 0.0, _clock()
+        self._sampled = self._mark
+        self.scale = _scale(self.refs[-1])
+        self.scales = [self.scale]
+
+    def __call__(self) -> float:
+        return self._base + (_clock() - self._mark) * self.scale
+
+    def wait_until(self, t: float) -> None:
+        now = self()
+        if _clock() - self._sampled >= REF_EVERY_S:
+            self.refs.append(reference_s())
+            self.scale = _scale(statistics.median(self.refs[-3:]))
+            self.scales.append(self.scale)
+            self._sampled = _clock()
+        self._base, self._mark = max(now, t), _clock()
 
 
 class ServeOpen(_Workload):
@@ -633,10 +801,10 @@ class ServeOpen(_Workload):
                 busy += _clock() - t0
 
         def poll():
-            t0 = _clock()
+            t0 = clock()
             out = timed(server.poll)
             done = clock()
-            polls.append(_clock() - t0)
+            polls.append(done - t0)
             for sid, ems in out.items():
                 for em in ems:
                     latency.append(done - due_at[sid][em.index])
@@ -697,12 +865,13 @@ class ServeOpen(_Workload):
         }
 
     def run(self, seconds: float) -> Outcome:
-        schedule, info = self.schedule(seconds)
-        setup_s, server = _setup(self.build, self.close)
+        schedule, info = self.schedule(seconds * SERVE_SPAN)
+        clock = _HostClock()
+        setup_s, setup_wall, server = _setup(lambda: self.build(clock), self.close)
         sequences = obs.get_registry().counter("repro_batch_sequences_total")
         before = sequences.value
         try:
-            r = self.replay(server, schedule, info, _WallClock())
+            r = self.replay(server, schedule, info, clock)
         finally:
             self.close()
         windows = sequences.value - before
@@ -717,7 +886,6 @@ class ServeOpen(_Workload):
             "call_p90_ms": _q(r["polls"], 90) * 1e3,
             "emit_p50_ms": _q(r["latency"], 50) * 1e3,
             "emit_p99_ms": _q(r["latency"], 99) * 1e3,
-            "gen_late_p99_ms": _q(r["late"], 99) * 1e3,
             "converged_frac": 1.0,
         }
         failed = r["raised"] + self.check(r)
@@ -725,7 +893,11 @@ class ServeOpen(_Workload):
             "offered_steps_per_s": SERVE_RATE,
             "slo_ms": SERVE_SLO * 1e3,
             "emit_p99_within_slo": metrics["emit_p99_ms"] <= SERVE_SLO * 1e3,
+            "gen_late_p99_ms": _q(r["late"], 99) * 1e3,
             "max_batch_end": r["max_batch"],
+            "schedule_s": wall,
+            "host_scale": [min(clock.scales), statistics.median(clock.scales), max(clock.scales)],
+            "wall_clock": {"setup_s": setup_wall},
         }
         return Outcome(metrics, len(schedule), failed, notes)
 
