@@ -1,10 +1,29 @@
-"""Setuptools shim.
+"""Package metadata for ``repro``.
 
-Allows legacy editable installs (``pip install -e .``) on machines
-without the ``wheel`` package (PEP 660 editable installs need it); all
-metadata lives in ``pyproject.toml``.
+The package lives under ``src/`` and its version is read from
+``src/repro/__init__.py``, so there is one place to bump it.  Install
+with ``pip install .`` (or ``pip install -e .`` for an editable
+checkout); ``python setup.py --name --version`` prints the metadata
+without installing anything.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _INIT.read_text(), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description=(
+        "Parallel-in-time Kalman smoothing using orthogonal transformations"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

@@ -26,8 +26,6 @@ batched, and nonlinear — and ``repro.smoother_spec(name).capabilities``
 tells a driver what each one supports.
 """
 
-import warnings as _warnings
-
 from . import obs
 from .api import (
     Capabilities,
@@ -37,8 +35,6 @@ from .api import (
     SmootherBase,
     SmootherRegistry,
     SmootherSpec,
-    call_smoother,
-    call_smoother_many,
     default_registry,
     make_smoother,
     register_smoother,
@@ -118,32 +114,6 @@ from .stream import (
 __version__ = "1.1.0"
 
 
-# The historical four-entry dict, cached so repeated accesses keep the
-# old module-attribute identity (and mutations persist, as before).
-_ALL_SMOOTHERS_COMPAT: dict | None = None
-
-
-def __getattr__(name: str):
-    if name == "ALL_SMOOTHERS":
-        _warnings.warn(
-            "repro.ALL_SMOOTHERS is deprecated; use "
-            "repro.registered_smoothers() to list algorithms and "
-            "repro.make_smoother(name) to construct them",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        global _ALL_SMOOTHERS_COMPAT
-        if _ALL_SMOOTHERS_COMPAT is None:
-            _ALL_SMOOTHERS_COMPAT = {
-                "odd-even": OddEvenSmoother,
-                "paige-saunders": PaigeSaundersSmoother,
-                "kalman-rts": RTSSmoother,
-                "associative": AssociativeSmoother,
-            }
-        return _ALL_SMOOTHERS_COMPAT
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Capabilities",
     "EstimatorConfig",
@@ -152,8 +122,6 @@ __all__ = [
     "SmootherBase",
     "SmootherRegistry",
     "SmootherSpec",
-    "call_smoother",
-    "call_smoother_many",
     "default_registry",
     "make_smoother",
     "register_smoother",
@@ -221,8 +189,5 @@ __all__ = [
     "greedy_schedule",
     "work_stealing_schedule",
     "worker_pool",
-    # NOTE: the deprecated ALL_SMOOTHERS alias is reachable as an
-    # attribute (with a DeprecationWarning) but deliberately NOT in
-    # __all__ — star imports must not trip the warning.
     "__version__",
 ]

@@ -10,22 +10,20 @@ This package is that front-end for the whole repository:
   (``backend``, ``compute_covariance``, ``dtype``, ``pad``) with a
   single resolution path;
 * :class:`Smoother` / :class:`SmootherBase` — the protocol and ABC
-  giving every algorithm the canonical ``smooth`` / ``smooth_many``
-  surface (with deprecation shims for the old per-call kwargs);
+  giving every algorithm the one ``smooth`` / ``smooth_many``
+  surface;
 * :class:`Capabilities` — per-algorithm functionality flags (paper
   §6's table as data), enforced at call time;
 * :class:`SmootherRegistry` / :func:`make_smoother` /
-  :func:`register_smoother` — the extensible catalog superseding the
-  hand-maintained ``ALL_SMOOTHERS`` dict.
+  :func:`register_smoother` — the extensible catalog of every
+  algorithm.
 """
 
 from .base import (
     Capabilities,
     Smoother,
     SmootherBase,
-    call_smoother,
     call_smoother_many,
-    warn_deprecated,
 )
 from .config import EstimatorConfig, ServingConfig
 from .registry import (
@@ -47,7 +45,6 @@ __all__ = [
     "SmootherBase",
     "SmootherRegistry",
     "SmootherSpec",
-    "call_smoother",
     "call_smoother_many",
     "coerce_smoother",
     "default_registry",
@@ -55,5 +52,4 @@ __all__ = [
     "register_smoother",
     "registered_smoothers",
     "smoother_spec",
-    "warn_deprecated",
 ]

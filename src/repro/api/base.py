@@ -4,12 +4,10 @@ Every smoother in the package — the paper's odd-even algorithm, the
 sequential and conventional baselines, the batched subsystem, and the
 nonlinear iterated smoothers — presents the same two entry points:
 
-    ``smooth(problem, *, config=None)``
+    ``smooth(problem, *, config=None, **options)``
     ``smooth_many(problems, *, config=None)``
 
-:class:`SmootherBase` implements the shared plumbing once: legacy
-keyword shims (the pre-``repro.api`` ``backend=``/``compute_covariance=``
-call kwargs keep working behind a :class:`DeprecationWarning`),
+:class:`SmootherBase` implements the shared plumbing once:
 configuration resolution through
 :meth:`~repro.api.config.EstimatorConfig.resolve`, capability
 validation, and a default ``smooth_many`` that loops — so every
@@ -21,17 +19,15 @@ resolved config.
 :class:`Capabilities` is the single source of truth for what each
 algorithm can do (paper §6's functionality table, as data): whether it
 needs a prior, can skip the covariance phase (the NC variant), handles
-rectangular/dimension-changing ``H_i``, or batches natively.  The
-canonical ``config=`` path *enforces* these flags with clear
-``ValueError``\\ s; only the deprecated legacy kwargs retain the old
-lenient behavior (e.g. RTS silently hiding covariances).
+rectangular/dimension-changing ``H_i``, or batches natively.
+:meth:`SmootherBase.smooth` *enforces* these flags: a request outside
+them raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Protocol
 
@@ -46,9 +42,7 @@ __all__ = [
     "Capabilities",
     "Smoother",
     "SmootherBase",
-    "call_smoother",
     "call_smoother_many",
-    "warn_deprecated",
 ]
 
 
@@ -135,57 +129,22 @@ class Smoother(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def warn_deprecated(message: str) -> None:
-    """Emit a :class:`DeprecationWarning` attributed to user code.
-
-    ``stacklevel`` is computed by walking past every frame inside the
-    ``repro`` package, so the warning names the caller's line even
-    when the deprecated entry point is reached through subclass
-    overrides (e.g. the Gauss–Newton ``smooth`` wrapper) — and
-    per-location deduplication then reports each call site separately.
-    """
-    import os
-    import sys
-
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    level = 2  # caller of warn_deprecated
-    frame = sys._getframe(1)
-    while frame is not None and frame.f_code.co_filename.startswith(
-        package_root
-    ):
-        frame = frame.f_back
-        level += 1
-    warnings.warn(message, DeprecationWarning, stacklevel=level)
-
-
 def _cast_result(result: "SmootherResult", dtype: Any) -> "SmootherResult":
     """Apply an output-dtype request to a result's arrays.
 
     ``dtype`` must already be an *output* dtype (callers pass
     ``EstimatorConfig.output_dtype``, which maps the mixed-precision
-    spellings to float64).  Raises :class:`ValueError` for result
-    objects that do not expose the ``SmootherResult`` array fields —
-    a dtype request on such a result cannot be honored and must not
-    be dropped silently.
+    spellings to float64).
     """
     if dtype is None:
         return result
-    try:
-        means = [np.asarray(m, dtype=dtype) for m in result.means]
-        covariances = (
-            None
-            if result.covariances is None
-            else [np.asarray(c, dtype=dtype) for c in result.covariances]
-        )
-        return dataclasses.replace(
-            result, means=means, covariances=covariances
-        )
-    except (AttributeError, TypeError) as exc:
-        raise ValueError(
-            f"cannot honor EstimatorConfig dtype={dtype!r}: result type "
-            f"{type(result).__name__} does not expose SmootherResult-style "
-            "means/covariances arrays"
-        ) from exc
+    means = [np.asarray(m, dtype=dtype) for m in result.means]
+    covariances = (
+        None
+        if result.covariances is None
+        else [np.asarray(c, dtype=dtype) for c in result.covariances]
+    )
+    return dataclasses.replace(result, means=means, covariances=covariances)
 
 
 class SmootherBase(abc.ABC):
@@ -207,22 +166,17 @@ class SmootherBase(abc.ABC):
     def smooth(
         self,
         problem,
-        backend=None,
-        compute_covariance: bool | None = None,
         *,
         config: EstimatorConfig | None = None,
         **options,
     ) -> "SmootherResult":
         """Smooth ``problem`` under ``config``.
 
-        ``backend``/``compute_covariance`` are the deprecated
-        pre-``repro.api`` call kwargs; they keep working (with a
-        :class:`DeprecationWarning`) so existing callers are not
-        broken, but new code should pass
-        ``config=EstimatorConfig(...)``.
+        ``options`` are algorithm-specific solve inputs forwarded to
+        ``_smooth`` (e.g. the iterated smoothers' ``initial=``
+        trajectory).
         """
-        config, legacy = self._shim_legacy(backend, compute_covariance, config)
-        resolved = self._resolve(problem, config, legacy=legacy)
+        resolved = self._resolve(problem, config)
         return _cast_result(
             self._smooth(problem, resolved, **options),
             resolved.output_dtype,
@@ -231,7 +185,6 @@ class SmootherBase(abc.ABC):
     def smooth_many(
         self,
         problems,
-        backend=None,
         *,
         config: EstimatorConfig | None = None,
     ) -> "list[SmootherResult]":
@@ -241,7 +194,6 @@ class SmootherBase(abc.ABC):
         algorithm serves batched workloads; natively batched smoothers
         override it with stacked kernels.
         """
-        config, _legacy = self._shim_legacy(backend, None, config)
         return [self.smooth(p, config=config) for p in problems]
 
     # ------------------------------------------------------------------
@@ -256,71 +208,20 @@ class SmootherBase(abc.ABC):
     # ------------------------------------------------------------------
     # shared plumbing
     # ------------------------------------------------------------------
-    def _shim_legacy(
-        self,
-        backend,
-        compute_covariance: bool | None,
-        config: EstimatorConfig | None,
-    ) -> tuple[EstimatorConfig, bool]:
-        """Fold deprecated call kwargs into a config, warning once."""
-        legacy = backend is not None or compute_covariance is not None
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass either the deprecated backend=/"
-                    "compute_covariance= kwargs or config=, not both"
-                )
-            warn_deprecated(
-                f"passing backend=/compute_covariance= to "
-                f"{type(self).__name__}.smooth/.smooth_many is deprecated; "
-                "pass config=repro.EstimatorConfig(backend=..., "
-                "compute_covariance=...) instead"
-            )
-            config = EstimatorConfig(
-                backend=backend, compute_covariance=compute_covariance
-            )
-        return config or EstimatorConfig(), legacy
-
     def _resolve(
-        self,
-        problem,
-        config: EstimatorConfig,
-        *,
-        legacy: bool = False,
+        self, problem, config: EstimatorConfig | None
     ) -> EstimatorConfig:
         """Resolve the config and enforce the capability flags.
 
-        On the canonical ``config=`` path the flags are authoritative
-        and violations raise ``ValueError``; the deprecated kwarg path
-        keeps the historical lenient behavior (hide-only covariance
-        flags, ``NotImplementedError`` from the ablation smoother) so
-        pre-``repro.api`` callers see exactly what they used to.
+        The flags are authoritative: a request outside them raises
+        ``ValueError``.  ``problem=None`` skips the per-problem checks.
         """
         caps = self.capabilities
-        resolved = config.resolve(
+        resolved = (config or EstimatorConfig()).resolve(
             self.default_config,
             default_compute_covariance=not caps.means_only,
         )
-        if caps.means_only and resolved.compute_covariance:
-            if legacy:
-                raise NotImplementedError(
-                    f"the {self.name} smoother computes means only"
-                )
-            raise ValueError(
-                f"smoother {self.name!r} computes means only (capability "
-                "means_only=True); compute_covariance=True is not available"
-            )
-        if (
-            not caps.supports_nc
-            and resolved.compute_covariance is False
-            and not legacy
-        ):
-            raise ValueError(
-                f"smoother {self.name!r} cannot skip the covariance "
-                "computation (capability supports_nc=False): the backward "
-                "recursion/scan carries the covariances intrinsically "
-                "(paper §5.4) — use a QR-family smoother for the NC variant"
-            )
+        self._check_covariance_request(resolved.compute_covariance)
         ab = resolved.array_module
         if (
             ab is not None
@@ -346,111 +247,21 @@ class SmootherBase(abc.ABC):
             )
         return resolved
 
-
-def _legacy_accepted_kwargs(func) -> "set[str] | None":
-    """Keyword names a legacy entry point can receive.
-
-    ``None`` means "anything" — the function takes ``**kwargs`` or its
-    signature cannot be introspected (builtins, some callables), in
-    which case forwarding optimistically is the only option.
-    """
-    import inspect
-
-    try:
-        params = inspect.signature(func).parameters.values()
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return None
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
-        return None
-    return {
-        p.name
-        for p in params
-        if p.kind
-        in (
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            inspect.Parameter.KEYWORD_ONLY,
-        )
-    }
-
-
-def _legacy_forward(
-    func, config: EstimatorConfig | None, include_pad: bool = True
-) -> tuple[dict, Any]:
-    """Map a config onto a legacy signature; refuse to drop set fields.
-
-    Returns ``(kwargs, output_dtype)``.  Fields the legacy signature
-    accepts are forwarded.  Set fields it cannot accept fall into two
-    classes: values matching the historical defaults the legacy
-    generation was written against (``compute_covariance=True``,
-    ``pad=True``) pass silently — the engine already behaves that way
-    — while *deviations* (``compute_covariance=False``, ``pad=False``)
-    raise, because silently ignoring them would hand back covariances
-    the caller asked to skip (or padding they disabled).  ``dtype`` is
-    honored downstream by casting the returned result's arrays, which
-    any solve path can satisfy.
-    """
-    if config is None:
-        return {}, None
-    accepted = _legacy_accepted_kwargs(func)
-    kwargs: dict[str, Any] = {}
-    refused: list[str] = []
-    if config.compute_covariance is not None:
-        if accepted is None or "compute_covariance" in accepted:
-            kwargs["compute_covariance"] = config.compute_covariance
-        elif config.compute_covariance is False:
-            refused.append("compute_covariance=False")
-    if include_pad and config.pad is not None:
-        if accepted is None or "pad" in accepted:
-            kwargs["pad"] = config.pad
-        elif config.pad is False:
-            refused.append("pad=False")
-    if config.array_module is not None:
-        from ..linalg.xp import get_backend
-
-        if get_backend(config.array_module).name != "numpy":
-            # No legacy engine predates numpy-only execution; a foreign
-            # backend request cannot be forwarded, only refused.
-            refused.append(f"array_module={config.array_module!r}")
-    if refused:
-        raise ValueError(
-            f"legacy smoother {getattr(func, '__qualname__', func)!r} "
-            f"cannot honor {', '.join(refused)} (not in its signature); "
-            "refusing to silently ignore an explicit EstimatorConfig "
-            "request — wrap the engine in a SmootherBase subclass or "
-            "drop the option"
-        )
-    return kwargs, config.output_dtype
-
-
-def call_smoother(
-    smoother,
-    problem,
-    config: EstimatorConfig | None = None,
-    **options,
-):
-    """Invoke ``smoother.smooth`` across API generations.
-
-    :class:`SmootherBase` instances get the canonical ``config=``
-    keyword; duck-typed legacy smoothers (anything else exposing
-    ``smooth``) get the old ``backend=``/``compute_covariance=`` kwargs
-    for whichever fields the config sets *and their signature
-    supports*.  Set fields a legacy signature cannot honor are not
-    dropped: deviations from the legacy defaults raise a
-    :class:`ValueError`, and ``dtype`` is honored by casting the
-    returned arrays.  First-party callers route through here so
-    injected third-party estimators keep working.
-    """
-    if isinstance(smoother, SmootherBase):
-        return smoother.smooth(problem, config=config, **options)
-    # pad is a bucketing option of smooth_many workloads; a single
-    # problem is never padded, so it is not considered here.
-    kwargs, out_dtype = _legacy_forward(
-        smoother.smooth, config, include_pad=False
-    )
-    if config is not None and config.backend is not None:
-        kwargs["backend"] = config.backend
-    result = smoother.smooth(problem, **kwargs, **options)
-    return _cast_result(result, out_dtype)
+    def _check_covariance_request(self, compute_covariance: bool) -> None:
+        """Raise if the capability flags rule out ``compute_covariance``."""
+        caps = self.capabilities
+        if caps.means_only and compute_covariance:
+            raise ValueError(
+                f"smoother {self.name!r} computes means only (capability "
+                "means_only=True); compute_covariance=True is not available"
+            )
+        if not caps.supports_nc and not compute_covariance:
+            raise ValueError(
+                f"smoother {self.name!r} cannot skip the covariance "
+                "computation (capability supports_nc=False): the backward "
+                "recursion/scan carries the covariances intrinsically "
+                "(paper §5.4) — use a QR-family smoother for the NC variant"
+            )
 
 
 def call_smoother_many(
@@ -458,20 +269,10 @@ def call_smoother_many(
     problems,
     config: EstimatorConfig | None = None,
 ):
-    """``call_smoother`` for workloads: uniform ``smooth_many`` dispatch.
+    """``smoother.smooth_many(problems, config=config)``.
 
-    Legacy engines get the pre-``repro.api`` shape — a positional
-    backend, passed even when it is ``None``, since that is the
-    signature they were written against — plus whichever set config
-    fields their signature accepts.  As in :func:`call_smoother`,
-    unforwardable deviations raise instead of being dropped, and
-    ``dtype`` is applied to the returned results.
+    The one function the batched nonlinear driver and the stream
+    server issue their stacked solves through, so a tracer can time
+    those solves by wrapping a single module attribute.
     """
-    if isinstance(smoother, SmootherBase):
-        return smoother.smooth_many(problems, config=config)
-    kwargs, out_dtype = _legacy_forward(smoother.smooth_many, config)
-    backend = config.backend if config is not None else None
-    results = smoother.smooth_many(problems, backend, **kwargs)
-    if out_dtype is None:
-        return results
-    return [_cast_result(r, out_dtype) for r in results]
+    return smoother.smooth_many(problems, config=config)

@@ -66,13 +66,12 @@ class EstimatorConfig:
         to disable plan caching for this call.
     array_module:
         Array backend the stacked kernels run on: a backend name
-        (``"numpy"``, ``"torch"``, ``"jax"``, ``"cupy"``, or the
-        test-oriented ``"mirror"``), an imported module object
-        (``array_module=torch``), or a resolved
-        :class:`~repro.linalg.xp.ArrayBackend`.  numpy is always
-        available and is the correctness oracle; the others are
-        optional dependencies discovered lazily — selecting one that
-        is not installed raises a descriptive ``ImportError`` at
+        (``"numpy"``, ``"torch"``, or the test-oriented ``"mirror"``),
+        an imported module object (``array_module=torch``), or a
+        resolved :class:`~repro.linalg.xp.ArrayBackend`.  numpy is
+        always available and is the correctness oracle; torch is an
+        optional dependency imported lazily — selecting it when it is
+        not installed raises a descriptive ``ImportError`` at
         :meth:`resolve` time.  Unset means numpy.  Supported by the
         batched smoothers and the associative smoother; other engines
         reject a non-numpy selection.

@@ -1,9 +1,8 @@
 """The extensible smoother registry.
 
 One place maps algorithm names to factories plus
-:class:`~repro.api.base.Capabilities` flags, superseding the old
-hand-maintained ``repro.ALL_SMOOTHERS`` dict (which silently omitted
-the batched, streaming-window and nonlinear estimators).  Factories are
+:class:`~repro.api.base.Capabilities` flags, covering the linear,
+batched, streaming-window and nonlinear estimators.  Factories are
 *lazy* — they import the implementing module only when
 :func:`make_smoother` is called — so registering the full catalog costs
 nothing at import time and creates no import cycles.

@@ -222,9 +222,7 @@ def build_plan(
 
     ``array_backend`` (a resolved
     :class:`~repro.linalg.xp.ArrayBackend`, or ``None`` for numpy)
-    selects where the compiled workspaces live.  Immutable backends
-    get no layout at all — their buckets replay through the
-    physically-padded stacking path and are converted after stacking.
+    selects where the compiled workspaces live.
     """
     problems = list(problems)
     backend_name = (
@@ -234,14 +232,11 @@ def build_plan(
         problems, pad=pad, exact_obs=exact_obs, backend=backend_name
     )
     buckets = bucket_problems(problems, pad=pad, exact_obs=exact_obs)
-    no_layout = exact_obs or (
-        backend_name != "numpy" and not array_backend.mutable
-    )
     plans = []
     for bucket in buckets:
         layout = (
             None
-            if no_layout
+            if exact_obs
             else build_bucket_layout(bucket, array_backend=array_backend)
         )
         plans.append(

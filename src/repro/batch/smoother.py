@@ -93,9 +93,8 @@ def _white_to_backend(
 ) -> WhitenedProblem:
     """Move a host-stacked whitened problem onto an array backend.
 
-    Used when stacking happened in numpy (no compiled layout: plan
-    caching disabled, or an immutable backend that cannot host
-    writable workspaces) but the factorization should run on the
+    Used when stacking happened in numpy (no compiled layout because
+    plan caching is disabled) but the factorization should run on the
     selected backend.
     """
     conv = array_backend.from_numpy
@@ -211,7 +210,8 @@ class BatchSmoother(SmootherBase):
     compute_covariance:
         ``False`` skips the SelInv phase of the odd-even method
         (means-only, the NC variant).  The associative method carries
-        covariances intrinsically either way.
+        covariances intrinsically, so it rejects ``False`` with a
+        ``ValueError``.
     pad:
         Pad sequences with unobserved steps to power-of-two lengths so
         mixed-length workloads share buckets (exact — see
@@ -258,19 +258,6 @@ class BatchSmoother(SmootherBase):
                 f"unknown batch method {method!r}; "
                 "expected 'odd-even' or 'associative'"
             )
-        if method == "associative" and not compute_covariance:
-            # Historical leniency: the associative scans carry
-            # covariances intrinsically, so the flag never had an
-            # effect on this method.
-            from ..api import warn_deprecated
-
-            warn_deprecated(
-                "compute_covariance=False has no effect with the "
-                "associative method (capability supports_nc=False) and "
-                "is deprecated; a per-call EstimatorConfig request "
-                "already raises"
-            )
-            compute_covariance = True
         if refine_steps < 0:
             raise ValueError(
                 f"refine_steps must be >= 0, got {refine_steps}"
@@ -293,6 +280,7 @@ class BatchSmoother(SmootherBase):
                 supports_array_module=True,
             )
         )
+        self._check_covariance_request(compute_covariance)
 
     @property
     def default_config(self) -> EstimatorConfig:
@@ -303,13 +291,11 @@ class BatchSmoother(SmootherBase):
     def smooth_many(
         self,
         problems: list[StateSpaceProblem],
-        backend: Backend | None = None,
         *,
         config: EstimatorConfig | None = None,
     ) -> list[SmootherResult]:
         """Smooth every problem in stacked buckets, caller's order."""
-        config, legacy = self._shim_legacy(backend, None, config)
-        resolved = self._resolve(None, config, legacy=legacy)
+        resolved = self._resolve(None, config)
         return [
             _cast_result(r, resolved.output_dtype)
             for r in self._smooth_workload(list(problems), resolved)
@@ -487,9 +473,9 @@ class BatchSmoother(SmootherBase):
         t0 = time.perf_counter()
         white = stack_whitened(members, layout=layout)
         if foreign and layout is None:
-            # No compiled device workspaces (plan caching disabled, or
-            # an immutable backend): stacking ran on host, so move the
-            # whitened blocks to the backend before the factorization.
+            # No compiled device workspaces (plan caching disabled):
+            # stacking ran on host, so move the whitened blocks to the
+            # backend before the factorization.
             white = _white_to_backend(white, ab)
         phases["stack"] += time.perf_counter() - t0
         white_solve = _cast_white(white, np.float32) if mixed else white

@@ -346,12 +346,9 @@ def build_bucket_layout(
     data.  The bucket's problem objects are not retained.
 
     With a non-numpy ``array_backend`` (an
-    :class:`~repro.linalg.xp.ArrayBackend` with ``mutable=True``),
-    the compiled workspaces are moved to that backend once at build
-    time, so plan replays stack and whiten directly on the selected
-    backend's arrays.  Immutable backends cannot host writable
-    workspaces; :func:`~repro.batch.plan.build_plan` plans around them
-    by skipping layout compilation entirely.
+    :class:`~repro.linalg.xp.ArrayBackend`), the compiled workspaces
+    are moved to that backend once at build time, so plan replays
+    stack and whiten directly on the selected backend's arrays.
     """
     problems = bucket.problems
     batch = bucket.batch
@@ -426,12 +423,6 @@ def build_bucket_layout(
             evo_factors.append(None)
     xp = np
     if array_backend is not None and array_backend.name != "numpy":
-        if not array_backend.mutable:
-            raise ValueError(
-                f"array backend {array_backend.name!r} is immutable and "
-                "cannot host writable plan workspaces; build the plan "
-                "without a layout instead"
-            )
         xp = array_backend.xp
 
         def _dev(bufs):

@@ -219,8 +219,8 @@ def backend_throughput(
     measured delta is the backend itself: device workspaces, adapted
     kernels, and the one host crossing at the result boundary.  The
     ratio is informative on vectorized hardware and expected to be
-    *below* 1 for CPU builds of torch/jax on small blocks — the point
-    of recording it is the step function at large batch on real
+    *below* 1 for CPU builds of torch on small blocks — the point of
+    recording it is the step function at large batch on real
     accelerators (see ROADMAP).  Persists ``results/backend_<name>.json``.
     """
     from ..linalg.xp import get_backend

@@ -364,10 +364,9 @@ class AssociativeSmoother(SmootherBase):
         if foreign:
             means = [to_host(m) for m in means]
             covs = [to_host(c) for c in covs]
-        want_cov = config.compute_covariance
         return SmootherResult(
             means=means,
-            covariances=covs if want_cov else None,
+            covariances=covs,
             residual_sq=None,
             algorithm="associative"
             + ("" if self.parallel else "-sequential"),

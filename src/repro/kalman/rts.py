@@ -35,8 +35,7 @@ class RTSSmoother(SmootherBase):
     on them (paper §5.4), so there is no NC variant —
     ``capabilities.supports_nc`` is ``False`` and requesting
     ``compute_covariance=False`` through an
-    :class:`~repro.api.EstimatorConfig` raises; only the deprecated
-    legacy kwarg retains the old hide-only behavior.
+    :class:`~repro.api.EstimatorConfig` raises.
     """
 
     name = "kalman-rts"
@@ -78,10 +77,9 @@ class RTSSmoother(SmootherBase):
             s_covs[i] = 0.5 * (cov + cov.T)
 
         backend.serial_for(k + 1, backward, phase="kalman/rts-backward")
-        want_cov = config.compute_covariance
         return SmootherResult(
             means=s_means,
-            covariances=s_covs if want_cov else None,
+            covariances=s_covs,
             residual_sq=None,
             algorithm="kalman-rts",
             diagnostics={"k": k},

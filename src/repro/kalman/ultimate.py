@@ -29,13 +29,7 @@ import dataclasses
 
 import numpy as np
 
-from ..api import (
-    Capabilities,
-    EstimatorConfig,
-    SmootherBase,
-    call_smoother,
-    coerce_smoother,
-)
+from ..api import Capabilities, EstimatorConfig, SmootherBase, coerce_smoother
 from ..core.smoother import OddEvenSmoother
 from ..errors import UnobservableStateError
 from ..linalg.cholesky import whiten_packed
@@ -340,20 +334,15 @@ class UltimateKalman:
         """
         # This request is generated here, not by the batch smoother's
         # caller: for an inner that cannot skip covariance work (e.g.
-        # RTS), keep the historical hide-only semantics instead of
+        # RTS), compute the covariances and hide them instead of
         # tripping its supports_nc capability check.
         request: bool | None = compute_covariance
         hide = False
-        caps = getattr(self._smoother, "capabilities", None)
-        if (
-            compute_covariance is False
-            and caps is not None
-            and not caps.supports_nc
-        ):
+        caps = self._smoother.capabilities
+        if not compute_covariance and not caps.supports_nc:
             request, hide = None, True
         try:
-            result = call_smoother(
-                self._smoother,
+            result = self._smoother.smooth(
                 self.problem(),
                 config=EstimatorConfig(
                     backend=backend,

@@ -5,9 +5,9 @@ broadcast triangular solves, the batch axes of odd-even Stage A/B/C,
 back-substitution, SelInv, and the associative-scan element algebra —
 routes its array calls through a *namespace* obtained from
 :func:`get_namespace` instead of a hard ``import numpy as np``.  That
-one indirection is what lets the same kernel code run on torch / jax /
-cupy arrays when the user asks for them via
-``EstimatorConfig(array_module=...)``.
+one indirection is what lets the same kernel code run on torch tensors
+when the user asks for them via ``EstimatorConfig(array_module=...)``.
+Three backends exist: numpy, the routing-proof "mirror", and torch.
 
 Design rules, in order of importance:
 
@@ -15,9 +15,9 @@ Design rules, in order of importance:
   default, and the correctness baseline every other backend is tested
   against.  A numpy-only environment never imports (or needs) any
   optional backend.
-* **Optional backends are lazy.**  ``torch`` / ``jax`` / ``cupy`` are
-  imported only when explicitly requested, and a missing module
-  raises an ``ImportError`` that names the backend and how to get it.
+* **torch is lazy.**  It is imported only when explicitly requested,
+  and a missing module raises an ``ImportError`` that names the
+  backend and how to get it.
 * **Namespace calls only.**  torch tensors implement ``__array__``
   but *not* ``__array_function__``, so ``np.swapaxes(tensor)``
   silently converts to numpy.  Routed kernels therefore never call
@@ -53,28 +53,17 @@ class ArrayBackend:
 
     ``xp`` is the numpy-like namespace routed kernels call into;
     ``from_numpy`` / ``to_numpy`` move data across the host boundary;
-    ``handles(a)`` answers "does this array belong to me?";
-    ``mutable`` says whether numpy-style slice assignment into the
-    backend's arrays works (False routes planning around preallocated
-    workspaces).
+    ``handles(a)`` answers "does this array belong to me?".  Every
+    backend's arrays support numpy-style slice assignment, so plans
+    can preallocate workspaces on any of them.
     """
 
-    def __init__(
-        self,
-        name: str,
-        xp,
-        *,
-        from_numpy,
-        to_numpy,
-        handles,
-        mutable: bool = True,
-    ):
+    def __init__(self, name: str, xp, *, from_numpy, to_numpy, handles):
         self.name = name
         self.xp = xp
         self.from_numpy = from_numpy
         self.to_numpy = to_numpy
         self.handles = handles
-        self.mutable = bool(mutable)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ArrayBackend({self.name!r})"
@@ -252,34 +241,6 @@ class _TorchNamespace:
         return out
 
 
-class _FallbackNamespace:
-    """Thin proxy adding ``astype``/``copy`` to almost-numpy modules.
-
-    jax.numpy and cupy track the numpy API closely but historically
-    lack the top-level ``astype``/``copy`` functions the kernels use;
-    this proxy falls back to the array methods when the module does
-    not provide them.
-    """
-
-    def __init__(self, module):
-        self._module = module
-
-    def __getattr__(self, name):
-        return getattr(self._module, name)
-
-    def astype(self, a, dtype, copy=True):
-        fn = getattr(self._module, "astype", None)
-        if fn is not None:
-            return fn(a, dtype, copy=copy)
-        return a.astype(dtype, copy=copy)
-
-    def copy(self, a):
-        fn = getattr(self._module, "copy", None)
-        if fn is not None:
-            return fn(a)
-        return a.copy()
-
-
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
@@ -292,7 +253,6 @@ def _make_numpy_backend() -> ArrayBackend:
         from_numpy=np.asarray,
         to_numpy=np.asarray,
         handles=lambda a: type(a) is np.ndarray,
-        mutable=True,
     )
 
 
@@ -304,7 +264,6 @@ def _make_mirror_backend() -> ArrayBackend:
         from_numpy=lambda a: np.asarray(a).view(MirrorArray),
         to_numpy=lambda a: np.asarray(a).view(np.ndarray),
         handles=lambda a: isinstance(a, MirrorArray),
-        mutable=True,
     )
 
 
@@ -323,46 +282,6 @@ def _make_torch_backend() -> ArrayBackend:
         from_numpy=lambda a: torch.from_numpy(np.ascontiguousarray(a)),
         to_numpy=lambda a: a.detach().cpu().numpy(),
         handles=lambda a: isinstance(a, torch.Tensor),
-        mutable=True,
-    )
-
-
-def _make_jax_backend() -> ArrayBackend:
-    try:
-        import jax
-        import jax.numpy as jnp
-    except ImportError as exc:  # pragma: no cover - depends on env
-        raise ImportError(
-            "array backend 'jax' requested but jax is not installed; "
-            "pip install jax or use array_module='numpy'"
-        ) from exc
-    jax.config.update("jax_enable_x64", True)
-    return ArrayBackend(
-        "jax",
-        _FallbackNamespace(jnp),
-        from_numpy=jnp.asarray,
-        to_numpy=np.asarray,
-        handles=lambda a: isinstance(a, jax.Array),
-        mutable=False,
-    )
-
-
-def _make_cupy_backend() -> ArrayBackend:
-    try:
-        import cupy
-    except ImportError as exc:  # pragma: no cover - depends on env
-        raise ImportError(
-            "array backend 'cupy' requested but cupy is not installed; "
-            "pip install cupy-cuda12x (matching your CUDA) or use "
-            "array_module='numpy'"
-        ) from exc
-    return ArrayBackend(
-        "cupy",
-        _FallbackNamespace(cupy),
-        from_numpy=cupy.asarray,
-        to_numpy=cupy.asnumpy,
-        handles=lambda a: isinstance(a, cupy.ndarray),
-        mutable=True,
     )
 
 
@@ -370,8 +289,6 @@ _FACTORIES = {
     "numpy": _make_numpy_backend,
     "mirror": _make_mirror_backend,
     "torch": _make_torch_backend,
-    "jax": _make_jax_backend,
-    "cupy": _make_cupy_backend,
 }
 
 #: instantiated backends, keyed by name.  numpy and mirror are free to
@@ -414,7 +331,6 @@ def get_backend(spec=None) -> ArrayBackend:
                 "array_module must be a backend name, module, or "
                 f"ArrayBackend, got {type(spec).__name__}"
             )
-        name = {"jax.numpy": "jax"}.get(name, name)
     active = _active()
     if name in active:
         return active[name]

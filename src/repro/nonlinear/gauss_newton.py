@@ -22,17 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..api import (
-    Capabilities,
-    EstimatorConfig,
-    SmootherBase,
-    call_smoother,
-    coerce_smoother,
-)
+from ..api import Capabilities, EstimatorConfig, SmootherBase, coerce_smoother
 from ..core.smoother import OddEvenSmoother
 from ..kalman.result import SmootherResult
 from ..model.nonlinear import NonlinearProblem, as_nonlinear
-from ..parallel.backend import Backend
 from .ekf import extended_kalman_filter
 
 __all__ = ["GaussNewtonSmoother", "GaussNewtonTrace"]
@@ -42,71 +35,13 @@ def _inner_nc(inner) -> bool | None:
     """The NC request for an inner smoother's iteration solves.
 
     ``False`` (skip covariances) when the inner supports the NC
-    variant — the optimization the paper's §5.4 is about — and for
-    duck-typed legacy inners, whose old signature always took the
-    flag.  ``None`` (unset, let the inner do its thing) for smoothers
-    like RTS that carry covariances intrinsically, so using them as
-    the inner solver keeps working instead of tripping the capability
-    check on an internally generated request.
+    variant — the optimization the paper's §5.4 is about.  ``None``
+    (unset, let the inner do its thing) for smoothers like RTS that
+    carry covariances intrinsically, so using them as the inner solver
+    keeps working instead of tripping the capability check on an
+    internally generated request.
     """
-    caps = getattr(inner, "capabilities", None)
-    if caps is not None and not caps.supports_nc:
-        return None
-    return False
-
-
-def _shim_positional_initial(owner, args, compute_covariance, initial):
-    """Catch the pre-``repro.api`` positional order.
-
-    The old signature was ``smooth(problem, backend, initial,
-    compute_covariance)``, so anything after ``backend`` lands in
-    ``args`` here: a lone bool/None is the *new* positional
-    ``compute_covariance`` (the base shim handles its deprecation); a
-    trajectory — optionally followed by the old covariance flag, or
-    combined with a ``compute_covariance=`` keyword — is the legacy
-    form, rebound with one deprecation warning so those calls keep
-    their meaning.  Returns ``(compute_covariance, initial, legacy)``.
-    """
-    if not args:
-        return compute_covariance, initial, False
-    if len(args) > 2:
-        raise TypeError(
-            f"{owner}.smooth takes at most 4 positional arguments "
-            f"({2 + len(args)} given)"
-        )
-    first = args[0]
-    if len(args) == 1 and (first is None or isinstance(first, bool)):
-        if compute_covariance is not None:
-            raise TypeError(
-                f"{owner}.smooth got multiple values for "
-                "compute_covariance"
-            )
-        return first, initial, False
-    from ..api import warn_deprecated
-
-    warn_deprecated(
-        f"passing the initial trajectory positionally to {owner}.smooth "
-        "is deprecated; pass initial=... (and compute_covariance via "
-        "config=) instead"
-    )
-    if isinstance(first, bool):
-        raise TypeError(
-            f"{owner}.smooth got two covariance flags positionally"
-        )
-    if initial is not None:
-        raise TypeError(
-            f"{owner}.smooth got an initial trajectory both positionally "
-            "and as initial="
-        )
-    flag = compute_covariance
-    if len(args) == 2:
-        if compute_covariance is not None:
-            raise TypeError(
-                f"{owner}.smooth got multiple values for "
-                "compute_covariance"
-            )
-        flag = None if args[1] is None else bool(args[1])
-    return flag, None if first is None else list(first), True
+    return False if inner.capabilities.supports_nc else None
 
 
 @dataclass
@@ -188,42 +123,6 @@ class GaussNewtonSmoother(SmootherBase):
         """EKF forward pass (the paper's suggested initializer)."""
         return extended_kalman_filter(problem)
 
-    def smooth(
-        self,
-        problem,
-        backend: Backend | None = None,
-        *args,
-        compute_covariance: bool | None = None,
-        config: EstimatorConfig | None = None,
-        initial: list[np.ndarray] | None = None,
-    ) -> SmootherResult:
-        compute_covariance, initial, legacy = _shim_positional_initial(
-            type(self).__name__, args, compute_covariance, initial
-        )
-        if legacy:
-            # Already warned once with the right message; route through
-            # config so the base shim does not warn a second time.
-            if config is not None:
-                raise TypeError(
-                    "pass either the deprecated positional form or "
-                    "config=, not both"
-                )
-            return super().smooth(
-                problem,
-                config=EstimatorConfig(
-                    backend=backend,
-                    compute_covariance=compute_covariance,
-                ),
-                initial=initial,
-            )
-        return super().smooth(
-            problem,
-            backend,
-            compute_covariance,
-            config=config,
-            initial=initial,
-        )
-
     def _smooth(
         self,
         problem,
@@ -246,7 +145,7 @@ class GaussNewtonSmoother(SmootherBase):
         trace.objectives.append(current_obj)
         for _ in range(self.max_iterations):
             linear = problem.linearize(trajectory)
-            result = call_smoother(self.inner, linear, config=inner_config)
+            result = self.inner.smooth(linear, config=inner_config)
             direction = [
                 a - b for a, b in zip(result.means, trajectory)
             ]
@@ -289,8 +188,7 @@ class GaussNewtonSmoother(SmootherBase):
         covariances = None
         if config.compute_covariance:
             linear = problem.linearize(trajectory)
-            final = call_smoother(
-                self.inner,
+            final = self.inner.smooth(
                 linear,
                 config=EstimatorConfig(
                     backend=config.backend, compute_covariance=True
@@ -301,7 +199,7 @@ class GaussNewtonSmoother(SmootherBase):
             means=trajectory,
             covariances=covariances,
             residual_sq=trace.objectives[-1],
-            algorithm=f"gauss-newton[{getattr(self.inner, 'name', '?')}]",
+            algorithm=f"gauss-newton[{self.inner.name}]",
             diagnostics={
                 "iterations": trace.iterations,
                 "converged": trace.converged,
@@ -312,7 +210,6 @@ class GaussNewtonSmoother(SmootherBase):
     def smooth_many(
         self,
         problems,
-        backend: Backend | None = None,
         *,
         config: EstimatorConfig | None = None,
     ) -> list[SmootherResult]:
@@ -327,7 +224,6 @@ class GaussNewtonSmoother(SmootherBase):
         from ..api.base import _cast_result
         from .batched import drive_batched
 
-        config, _legacy = self._shim_legacy(backend, None, config)
         problems = list(problems)
         if not problems:
             return []
@@ -412,9 +308,7 @@ class GaussNewtonSmoother(SmootherBase):
             means=state.trajectory,
             covariances=covariances,
             residual_sq=trace.objectives[-1],
-            algorithm=(
-                f"gauss-newton[{getattr(self.batch_inner, 'name', '?')}]"
-            ),
+            algorithm=f"gauss-newton[{self.batch_inner.name}]",
             diagnostics={
                 "iterations": trace.iterations,
                 "converged": trace.converged,

@@ -33,7 +33,6 @@ from ..api import Capabilities, EstimatorConfig, SmootherBase, coerce_smoother
 from ..api.base import _cast_result
 from ..kalman.result import SmootherResult
 from ..model.nonlinear import Linearizer, SigmaPointLinearizer
-from ..parallel.backend import Backend
 from .batched import IterateState, drive_batched, linearize_dtype
 from .ekf import extended_kalman_filter
 from .gauss_newton import _inner_nc
@@ -116,7 +115,6 @@ class IteratedPosteriorLinearizationSmoother(SmootherBase):
     def smooth_many(
         self,
         problems,
-        backend: Backend | None = None,
         *,
         config: EstimatorConfig | None = None,
     ) -> list[SmootherResult]:
@@ -128,7 +126,6 @@ class IteratedPosteriorLinearizationSmoother(SmootherBase):
         linearized problems of all active (non-converged) problems
         share each iteration's plan-cached batched solve.
         """
-        config, _legacy = self._shim_legacy(backend, None, config)
         problems = list(problems)
         if not problems:
             return []
@@ -242,7 +239,7 @@ class IteratedPosteriorLinearizationSmoother(SmootherBase):
             residual_sq=trace.objectives[-1],
             algorithm=(
                 f"ipls[{self.linearizer.name}"
-                f"+{getattr(self.batch_inner, 'name', '?')}]"
+                f"+{self.batch_inner.name}]"
             ),
             diagnostics={
                 "iterations": trace.iterations,

@@ -19,21 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..api import (
-    Capabilities,
-    EstimatorConfig,
-    SmootherBase,
-    call_smoother,
-    coerce_smoother,
-)
+from ..api import Capabilities, EstimatorConfig, SmootherBase, coerce_smoother
 from ..core.smoother import OddEvenSmoother
 from ..kalman.result import SmootherResult
 from ..model.nonlinear import NonlinearProblem, as_nonlinear
 from ..model.problem import StateSpaceProblem
 from ..model.steps import Observation, Step
-from ..parallel.backend import Backend
 from .ekf import extended_kalman_filter
-from .gauss_newton import _inner_nc, _shim_positional_initial
+from .gauss_newton import _inner_nc
 
 __all__ = ["LevenbergMarquardtSmoother", "damp_problem", "LMTrace"]
 
@@ -140,42 +133,6 @@ class LevenbergMarquardtSmoother(SmootherBase):
         self.lambda_down = lambda_down
         self.max_lambda = max_lambda
 
-    def smooth(
-        self,
-        problem,
-        backend: Backend | None = None,
-        *args,
-        compute_covariance: bool | None = None,
-        config: EstimatorConfig | None = None,
-        initial: list[np.ndarray] | None = None,
-    ) -> SmootherResult:
-        compute_covariance, initial, legacy = _shim_positional_initial(
-            type(self).__name__, args, compute_covariance, initial
-        )
-        if legacy:
-            # Already warned once with the right message; route through
-            # config so the base shim does not warn a second time.
-            if config is not None:
-                raise TypeError(
-                    "pass either the deprecated positional form or "
-                    "config=, not both"
-                )
-            return super().smooth(
-                problem,
-                config=EstimatorConfig(
-                    backend=backend,
-                    compute_covariance=compute_covariance,
-                ),
-                initial=initial,
-            )
-        return super().smooth(
-            problem,
-            backend,
-            compute_covariance,
-            config=config,
-            initial=initial,
-        )
-
     def _smooth(
         self,
         problem,
@@ -200,9 +157,7 @@ class LevenbergMarquardtSmoother(SmootherBase):
         for _ in range(self.max_iterations):
             linear = problem.linearize(trajectory)
             damped = damp_problem(linear, trajectory, lam)
-            candidate = call_smoother(
-                self.inner, damped, config=inner_config
-            ).means
+            candidate = self.inner.smooth(damped, config=inner_config).means
             new_obj = problem.objective(candidate)
             if new_obj <= current_obj:
                 step_norm = np.sqrt(
@@ -236,8 +191,7 @@ class LevenbergMarquardtSmoother(SmootherBase):
         covariances = None
         if config.compute_covariance:
             linear = problem.linearize(trajectory)
-            final = call_smoother(
-                self.inner,
+            final = self.inner.smooth(
                 linear,
                 config=EstimatorConfig(
                     backend=config.backend, compute_covariance=True
@@ -248,7 +202,7 @@ class LevenbergMarquardtSmoother(SmootherBase):
             means=trajectory,
             covariances=covariances,
             residual_sq=current_obj,
-            algorithm=f"levenberg-marquardt[{getattr(self.inner, 'name', '?')}]",
+            algorithm=f"levenberg-marquardt[{self.inner.name}]",
             diagnostics={
                 "iterations": trace.iterations,
                 "converged": trace.converged,
@@ -260,7 +214,6 @@ class LevenbergMarquardtSmoother(SmootherBase):
     def smooth_many(
         self,
         problems,
-        backend: Backend | None = None,
         *,
         config: EstimatorConfig | None = None,
     ) -> list[SmootherResult]:
@@ -273,7 +226,6 @@ class LevenbergMarquardtSmoother(SmootherBase):
         from ..api.base import _cast_result
         from .batched import drive_batched
 
-        config, _legacy = self._shim_legacy(backend, None, config)
         problems = list(problems)
         if not problems:
             return []
@@ -366,10 +318,7 @@ class LevenbergMarquardtSmoother(SmootherBase):
             means=state.trajectory,
             covariances=covariances,
             residual_sq=state.objective,
-            algorithm=(
-                "levenberg-marquardt"
-                f"[{getattr(self.batch_inner, 'name', '?')}]"
-            ),
+            algorithm=f"levenberg-marquardt[{self.batch_inner.name}]",
             diagnostics={
                 "iterations": trace.iterations,
                 "converged": trace.converged,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..api import call_smoother, coerce_smoother
+from ..api import coerce_smoother
 from ..core.window import solve_window
 from ..errors import UnobservableStateError
 from ..kalman.result import SmootherResult
@@ -90,8 +90,7 @@ class FixedLagSmoother:
         is the NC variant for means-only serving.
     smoother:
         Optional batch smoother for the window solves — any
-        :class:`~repro.api.Smoother`, a legacy object with
-        ``.smooth(problem)``, or a registered name for
+        :class:`~repro.api.Smoother` or a registered name for
         :func:`~repro.api.make_smoother`; the default is the
         sequential :func:`~repro.core.window.solve_window`, which is
         the fastest choice at window sizes.  A custom smoother's own
@@ -115,16 +114,16 @@ class FixedLagSmoother:
         self.lag = int(lag)
         self.auto_emit = auto_emit
         self.compute_covariance = compute_covariance
-        self._smoother = coerce_smoother(smoother)
-        caps = getattr(self._smoother, "capabilities", None)
-        if caps is not None and getattr(caps, "iterative", False):
+        smoother = coerce_smoother(smoother)
+        if smoother is not None and smoother.capabilities.iterative:
             raise ValueError(
-                f"smoother {getattr(self._smoother, 'name', self._smoother)!r} "
+                f"smoother {smoother.name!r} "
                 "is an iterated nonlinear smoother (capability "
                 "iterative=True) and cannot back a fixed-lag window — "
                 "the window problems are linear; pass a linear "
                 "smoother (or None for the default window solver)"
             )
+        self._smoother = smoother
         self._uk = UltimateKalman(state_dim, prior=prior)
         self._queue: list[Emission] = []
         self._closed = False
@@ -262,7 +261,7 @@ class FixedLagSmoother:
                 compute_covariance=self.compute_covariance,
             )
         try:
-            return call_smoother(self._smoother, problem)
+            return self._smoother.smooth(problem)
         except UnobservableStateError:
             raise
         except np.linalg.LinAlgError as exc:

@@ -92,9 +92,8 @@ class StreamServer:
     smoother:
         The batch engine for flushes; defaults to
         :class:`~repro.batch.BatchSmoother` (stacked odd-even
-        kernels).  Accepts any :class:`~repro.api.Smoother`, a
-        registered name for :func:`~repro.api.make_smoother`, or a
-        legacy object exposing ``smooth_many(problems, backend)``.
+        kernels).  Accepts any :class:`~repro.api.Smoother` or a
+        registered name for :func:`~repro.api.make_smoother`.
     backend:
         Optional :class:`~repro.parallel.backend.Backend` the batch
         engine dispatches its heavy phases through (e.g.
@@ -192,33 +191,29 @@ class StreamServer:
         # Fail at construction, not on the first flush: the server
         # forwards compute_covariance into every window solve, so a
         # smoother that cannot honor it must be rejected up front.
-        caps = getattr(self._smoother, "capabilities", None)
-        if caps is not None:
-            if getattr(caps, "iterative", False):
-                raise ValueError(
-                    f"smoother {getattr(self._smoother, 'name', self._smoother)!r} "
-                    "is an iterated nonlinear smoother (capability "
-                    "iterative=True) and cannot serve streaming windows "
-                    "— the server solves *linear* window problems; "
-                    "linearize upstream and serve with a linear batch "
-                    "smoother instead"
-                )
-            if not compute_covariance and not caps.supports_nc:
-                raise ValueError(
-                    f"smoother {getattr(self._smoother, 'name', self._smoother)!r} "
-                    "cannot skip the covariance computation (capability "
-                    "supports_nc=False), but the server was constructed "
-                    "with compute_covariance=False — use a QR-family "
-                    "batch smoother for means-only serving"
-                )
-            if compute_covariance and getattr(caps, "means_only", False):
-                raise ValueError(
-                    f"smoother {getattr(self._smoother, 'name', self._smoother)!r} "
-                    "computes means only (capability means_only=True), "
-                    "but the server was constructed with "
-                    "compute_covariance=True — pass "
-                    "compute_covariance=False"
-                )
+        caps = self._smoother.capabilities
+        name = self._smoother.name
+        if caps.iterative:
+            raise ValueError(
+                f"smoother {name!r} is an iterated nonlinear smoother "
+                "(capability iterative=True) and cannot serve streaming "
+                "windows — the server solves *linear* window problems; "
+                "linearize upstream and serve with a linear batch "
+                "smoother instead"
+            )
+        if not compute_covariance and not caps.supports_nc:
+            raise ValueError(
+                f"smoother {name!r} cannot skip the covariance "
+                "computation (capability supports_nc=False), but the "
+                "server was constructed with compute_covariance=False — "
+                "use a QR-family batch smoother for means-only serving"
+            )
+        if compute_covariance and caps.means_only:
+            raise ValueError(
+                f"smoother {name!r} computes means only (capability "
+                "means_only=True), but the server was constructed with "
+                "compute_covariance=True — pass compute_covariance=False"
+            )
 
     # ------------------------------------------------------------------
     # stream lifecycle
@@ -281,9 +276,13 @@ class StreamServer:
         Steps at or before the stream's applied frontier are duplicates
         and rejected; steps beyond the next expected one are buffered
         until the gap fills, subject to the ``max_buffered`` /
-        ``overflow`` backpressure policy.
+        ``overflow`` backpressure policy.  A step whose model data is
+        not finite is rejected with a ``ValueError`` before it is
+        buffered, so the stream is untouched and the step can be
+        resubmitted.
         """
         state = self._state(stream_id)
+        self._check_finite(stream_id, step)
         if step.seq < state.next_seq or step.seq in state.buffered:
             raise ValueError(
                 f"duplicate arrival for stream {stream_id!r}: step "
@@ -348,6 +347,23 @@ class StreamServer:
             state.buffered.pop(state.next_seq)
             state.applied += 1
             state.next_seq += 1
+
+    @staticmethod
+    def _check_finite(stream_id, step: StreamStep) -> None:
+        """Reject NaN/Inf data: one bad value would poison the stream's
+        whole window, and every later estimate with it."""
+        arrays = {}
+        if step.evolution is not None:
+            evo = step.evolution
+            arrays.update({"F": evo.F, "c": evo.c, "H": evo.H})
+        if step.observation is not None:
+            arrays.update({"G": step.observation.G, "o": step.observation.o})
+        bad = [k for k, a in arrays.items() if not np.isfinite(a).all()]
+        if bad:
+            raise ValueError(
+                f"stream {stream_id!r} step {step.seq}: non-finite values "
+                f"in {', '.join(bad)}; the step was rejected"
+            )
 
     @staticmethod
     def _validate_step(

@@ -156,3 +156,12 @@ class TestCapabilityEnforcement:
         qr = smoother_spec("odd-even").capabilities
         assert qr.admits(without) is None
         assert qr.admits(varying) is None
+
+    def test_nonlinear_problem_needs_iterative_smoother(self):
+        nl, _truth = repro.pendulum_problem(k=4, seed=0)
+        assert repro.smoother_spec("odd-even").capabilities.admits(nl)
+        assert repro.smoother_spec("kalman-rts").capabilities.admits(nl)
+        assert (
+            repro.smoother_spec("gauss-newton").capabilities.admits(nl)
+            is None
+        )

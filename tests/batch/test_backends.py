@@ -20,11 +20,9 @@ from repro.kalman.associative import AssociativeSmoother
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
 from repro.linalg.xp import mirror_call_counts, reset_mirror_counts
 
-BACKENDS = ["mirror"] + [
-    name
-    for name in ("torch", "jax", "cupy")
-    if importlib.util.find_spec(name) is not None
-]
+BACKENDS = ["mirror"] + (
+    ["torch"] if importlib.util.find_spec("torch") is not None else []
+)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ smoother's means and covariances to 1e-8.
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig
 from repro.batch import BatchSmoother
 from repro.core.smoother import OddEvenSmoother
 from repro.kalman.rts import RTSSmoother
@@ -150,9 +151,13 @@ class TestAssociativeMethod:
 class TestBackends:
     def test_threadpool_backend_matches_serial(self):
         problems = mixed_workload(8, seed=5)
-        serial = BatchSmoother().smooth_many(problems, SerialBackend())
+        serial = BatchSmoother().smooth_many(
+            problems, config=EstimatorConfig(backend=SerialBackend())
+        )
         with ThreadPoolBackend(3, block_size=1) as pool:
-            threaded = BatchSmoother().smooth_many(problems, pool)
+            threaded = BatchSmoother().smooth_many(
+                problems, config=EstimatorConfig(backend=pool)
+            )
         for a, b in zip(serial, threaded):
             for ma, mb in zip(a.means, b.means):
                 np.testing.assert_allclose(ma, mb, atol=1e-12)
@@ -162,7 +167,9 @@ class TestBackends:
             tracking_2d_problem(k=15, seed=s)[0] for s in range(6)
         ]
         rec = RecordingBackend()
-        BatchSmoother().smooth_many(problems, rec)
+        BatchSmoother().smooth_many(
+            problems, config=EstimatorConfig(backend=rec)
+        )
         graph = rec.graph
         assert graph.phases, "batched run recorded no phases"
         flops = sum(t.flops for ph in graph.phases for t in ph.tasks)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig
 from repro.core.normal_equations import (
     NormalEquationsSmoother,
     build_normal_equations,
@@ -45,8 +46,10 @@ class TestSolver:
 
     def test_no_covariance_support(self):
         p = random_problem(k=2, seed=1)
-        with pytest.raises(NotImplementedError):
-            NormalEquationsSmoother().smooth(p, compute_covariance=True)
+        with pytest.raises(ValueError, match="means only"):
+            NormalEquationsSmoother().smooth(
+                p, config=EstimatorConfig(compute_covariance=True)
+            )
 
     def test_varying_dims(self, assert_blocks_close):
         p = random_problem(k=6, seed=2, dims=[2, 3, 2, 4, 2, 3, 2])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig
 from repro.core.smoother import OddEvenSmoother
 from repro.model.dense import assemble_dense
 from repro.model.generators import random_problem
@@ -44,7 +45,9 @@ class TestAPI:
     def test_per_call_override(self):
         p = random_problem(k=4, seed=3)
         smoother = OddEvenSmoother(compute_covariance=False)
-        result = smoother.smooth(p, compute_covariance=True)
+        result = smoother.smooth(
+            p, config=EstimatorConfig(compute_covariance=True)
+        )
         assert result.covariances is not None
 
     def test_diagnostics(self):
@@ -80,7 +83,9 @@ class TestBackendEquivalence:
         p = random_problem(k=21, seed=7, dims=3, random_cov=True)
         reference = OddEvenSmoother().smooth(p)
         with backend_factory() as backend:
-            result = OddEvenSmoother().smooth(p, backend=backend)
+            result = OddEvenSmoother().smooth(
+                p, config=EstimatorConfig(backend=backend)
+            )
         assert_blocks_close(result.means, reference.means, tol=1e-13)
         assert_blocks_close(
             result.covariances, reference.covariances, tol=1e-13
@@ -91,14 +96,18 @@ class TestBackendEquivalence:
         results = []
         for bs in (1, 3, 10, 100):
             backend = RecordingBackend(block_size=bs)
-            results.append(OddEvenSmoother().smooth(p, backend=backend))
+            results.append(
+                OddEvenSmoother().smooth(
+                    p, config=EstimatorConfig(backend=backend)
+                )
+            )
         for r in results[1:]:
             assert_blocks_close(r.means, results[0].means, tol=1e-13)
 
     def test_recording_produces_phases(self):
         p = random_problem(k=15, seed=9, dims=2)
         backend = RecordingBackend(block_size=1)
-        OddEvenSmoother().smooth(p, backend=backend)
+        OddEvenSmoother().smooth(p, config=EstimatorConfig(backend=backend))
         names = [ph.name for ph in backend.graph.phases]
         assert any("stageA" in n for n in names)
         assert any("stageB" in n for n in names)

@@ -12,6 +12,7 @@ because block operations are recorded as atomic tasks).
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig
 from repro.core.smoother import OddEvenSmoother
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
 from repro.model.generators import random_orthonormal_problem
@@ -23,7 +24,9 @@ KS = [64, 128, 256, 512]
 def record(smoother_factory, k, n=3):
     problem = random_orthonormal_problem(n=n, k=k, seed=0)
     backend = RecordingBackend(block_size=1)
-    smoother_factory().smooth(problem, backend=backend)
+    smoother_factory().smooth(
+        problem, config=EstimatorConfig(backend=backend)
+    )
     return backend.graph
 
 

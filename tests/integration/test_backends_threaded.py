@@ -10,6 +10,7 @@ thread-safe.
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig
 from repro.core.selinv import selinv_oddeven
 from repro.core.smoother import OddEvenSmoother
 from repro.kalman.associative import AssociativeSmoother
@@ -23,9 +24,13 @@ class TestOddEvenThreaded:
     @pytest.mark.parametrize("threads", [2, 4, 8])
     def test_bit_identical_to_serial(self, threads):
         p = random_problem(k=40, seed=threads, dims=3, random_cov=True)
-        serial = OddEvenSmoother().smooth(p, backend=SerialBackend())
+        serial = OddEvenSmoother().smooth(
+            p, config=EstimatorConfig(backend=SerialBackend())
+        )
         with ThreadPoolBackend(threads, block_size=2) as backend:
-            threaded = OddEvenSmoother().smooth(p, backend=backend)
+            threaded = OddEvenSmoother().smooth(
+                p, config=EstimatorConfig(backend=backend)
+            )
         for a, b in zip(serial.means, threaded.means):
             assert np.array_equal(a, b)
         for a, b in zip(serial.covariances, threaded.covariances):
@@ -34,9 +39,13 @@ class TestOddEvenThreaded:
     def test_repeated_runs_stable(self):
         p = random_problem(k=25, seed=9, dims=2)
         with ThreadPoolBackend(4, block_size=1) as backend:
-            first = OddEvenSmoother().smooth(p, backend=backend)
+            first = OddEvenSmoother().smooth(
+                p, config=EstimatorConfig(backend=backend)
+            )
             for _ in range(3):
-                again = OddEvenSmoother().smooth(p, backend=backend)
+                again = OddEvenSmoother().smooth(
+                    p, config=EstimatorConfig(backend=backend)
+                )
                 for a, b in zip(first.means, again.means):
                     assert np.array_equal(a, b)
 
@@ -53,9 +62,13 @@ class TestOddEvenThreaded:
 class TestAssociativeThreaded:
     def test_matches_serial(self):
         p = random_problem(k=33, seed=11, dims=3, random_cov=True)
-        serial = AssociativeSmoother().smooth(p, backend=SerialBackend())
+        serial = AssociativeSmoother().smooth(
+            p, config=EstimatorConfig(backend=SerialBackend())
+        )
         with ThreadPoolBackend(4, block_size=2) as backend:
-            threaded = AssociativeSmoother().smooth(p, backend=backend)
+            threaded = AssociativeSmoother().smooth(
+                p, config=EstimatorConfig(backend=backend)
+            )
         for a, b in zip(serial.means, threaded.means):
             assert np.allclose(a, b, atol=1e-13)
 
@@ -78,7 +91,9 @@ class TestConcurrentTallies:
 
         p = random_problem(k=20, seed=12, dims=3)
         _res, serial_tally = measure_flops(
-            OddEvenSmoother().smooth, p, SerialBackend()
+            OddEvenSmoother().smooth,
+            p,
+            config=EstimatorConfig(backend=SerialBackend()),
         )
         # Note: kernels run on pool threads do not report into the
         # caller's tally (thread-local) — that is by design; recording

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.api import EstimatorConfig
 from repro.core.smoother import OddEvenSmoother
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
 from repro.model.generators import random_problem
@@ -78,7 +79,9 @@ class TestScheduleInvariants:
         overhead terms added to both sides)."""
         problem = random_problem(k=k, seed=k, dims=2)
         backend = RecordingBackend(block_size=block)
-        OddEvenSmoother().smooth(problem, backend=backend)
+        OddEvenSmoother().smooth(
+            problem, config=EstimatorConfig(backend=backend)
+        )
         graph = backend.graph
         sim = greedy_schedule(graph, GRAVITON3, cores)
         per_task = [
@@ -124,7 +127,9 @@ class TestScheduleInvariants:
         barrier term — the computation itself never runs slower."""
         problem = random_problem(k=k, seed=k + 1, dims=2)
         backend = RecordingBackend(block_size=1)
-        OddEvenSmoother().smooth(problem, backend=backend)
+        OddEvenSmoother().smooth(
+            problem, config=EstimatorConfig(backend=backend)
+        )
         graph = backend.graph
         pairs = [(1, 2), (2, 4), (4, 8), (8, 16)]
         for lo, hi in pairs:

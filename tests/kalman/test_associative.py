@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.api import EstimatorConfig
 from repro.kalman.associative import (
     AssociativeSmoother,
     combine_filtering,
@@ -114,16 +115,14 @@ class TestSmoother:
         )
 
     def test_covariance_cannot_be_skipped(self):
-        """§5.4: the flag omits output but saves no work."""
-        from repro.parallel.tally import measure_flops
-
+        """§5.4: the scans carry covariances, so there is no NC
+        variant to ask for."""
         p = random_problem(k=8, seed=32, dims=2)
-        full, t_full = measure_flops(AssociativeSmoother().smooth, p)
-        hidden, t_nc = measure_flops(
-            AssociativeSmoother().smooth, p, compute_covariance=False
-        )
-        assert hidden.covariances is None
-        assert t_nc.flops == pytest.approx(t_full.flops, rel=1e-12)
+        assert AssociativeSmoother().smooth(p).covariances is not None
+        with pytest.raises(ValueError, match="supports_nc"):
+            AssociativeSmoother().smooth(
+                p, config=EstimatorConfig(compute_covariance=False)
+            )
 
     def test_requires_prior(self):
         p = random_problem(k=2, seed=33, with_prior=False)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig
 from repro.kalman.rts import RTSSmoother
 from repro.model.dense import assemble_dense
 from repro.model.generators import random_problem, tracking_2d_problem
@@ -64,11 +65,15 @@ class TestProperties:
         assert np.allclose(smoothed.means[-1], filt.means[-1], atol=1e-10)
 
     def test_covariances_always_computed(self):
-        """§5.4: RTS cannot skip covariances; the flag only hides them."""
+        """§5.4: RTS cannot skip covariances, so an NC request raises."""
         p = random_problem(k=3, seed=10, dims=2)
-        result = RTSSmoother().smooth(p, compute_covariance=False)
-        assert result.covariances is None
+        result = RTSSmoother().smooth(p)
+        assert result.covariances is not None
         assert result.algorithm == "kalman-rts"
+        with pytest.raises(ValueError, match="supports_nc"):
+            RTSSmoother().smooth(
+                p, config=EstimatorConfig(compute_covariance=False)
+            )
 
     def test_requires_prior(self):
         p = random_problem(k=2, seed=11, with_prior=False)

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig, make_smoother
 from repro.kalman.kf import KalmanFilter
+from repro.kalman.rts import RTSSmoother
 from repro.kalman.ultimate import UltimateKalman
 from repro.model.dense import assemble_dense
 from repro.model.generators import random_problem
+from repro.parallel.backend import RecordingBackend
 
 
 def drive(uk: UltimateKalman, problem, estimate_each=False):
@@ -108,6 +111,28 @@ class TestSmoothing:
         )
         drive(uk, p)
         assert uk.smooth(compute_covariance=False).covariances is None
+
+    def test_nc_smooth_with_conventional_inner(self):
+        """An RTS inner cannot skip covariances; an NC smooth still
+        returns none instead of tripping its capability check."""
+        p = random_problem(k=5, seed=4, dims=2)
+        uk = UltimateKalman(
+            state_dim=2,
+            prior=(p.prior.mean, p.prior.cov_matrix()),
+            smoother=RTSSmoother(),
+        )
+        drive(uk, p)
+        assert uk.smooth(compute_covariance=False).covariances is None
+
+    def test_config_backend_reaches_the_batch_smooth(self):
+        """UltimateSmoother forwards the config's backend to the
+        final batch smooth."""
+        p = random_problem(k=5, seed=7, dims=2)
+        backend = RecordingBackend()
+        make_smoother("ultimate").smooth(
+            p, config=EstimatorConfig(backend=backend)
+        )
+        assert backend.graph.n_tasks > 0
 
     def test_dimension_change(self):
         """Rectangular H through the incremental API."""

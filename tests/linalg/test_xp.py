@@ -24,8 +24,7 @@ class TestRegistry:
         assert get_backend("numpy").xp is np
 
     def test_known_names_are_listed(self):
-        names = available_backends()
-        assert {"numpy", "mirror", "torch", "jax", "cupy"} <= set(names)
+        assert available_backends() == ["mirror", "numpy", "torch"]
 
     def test_unknown_name_raises_with_choices(self):
         with pytest.raises(ValueError, match="unknown array backend"):
@@ -134,8 +133,6 @@ class TestArrayBackendContract:
             from_numpy=np.asarray,
             to_numpy=np.asarray,
             handles=lambda a: False,
-            mutable=False,
         )
         assert backend.name == "custom"
-        assert backend.mutable is False
         assert get_backend(backend) is backend

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig
 from repro.core.smoother import OddEvenSmoother
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
+from repro.kalman.rts import RTSSmoother
 from repro.model.dense import dense_solve
 from repro.model.generators import random_problem
 from repro.model.nonlinear import pendulum_problem
@@ -84,14 +86,14 @@ class TestConfigurations:
         objective trace on the batch where full GN steps stall."""
         problem, _ = pendulum_problem(k=30, seed=4)
         ls = GaussNewtonSmoother(line_search=True, max_iterations=40).smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         objectives = ls.diagnostics["trace"].objectives
         assert all(
             b <= a + 1e-9 for a, b in zip(objectives, objectives[1:])
         )
         plain = GaussNewtonSmoother(max_iterations=40).smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         assert ls.residual_sq <= plain.residual_sq + 1e-6
 
@@ -110,18 +112,29 @@ class TestConfigurations:
 
         problem, _ = pendulum_problem(k=30, seed=4)
         gn = GaussNewtonSmoother(max_iterations=20).smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         lm = LevenbergMarquardtSmoother().smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         assert lm.residual_sq <= gn.residual_sq + 1e-9
 
     def test_skip_covariances(self):
         problem, _ = pendulum_problem(k=20, seed=5)
         result = GaussNewtonSmoother().smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
+        assert result.covariances is None
+
+    def test_conventional_inner_under_nc_config(self):
+        """An RTS inner cannot skip covariances; the NC request GN
+        makes for its iteration solves must not trip that capability
+        check."""
+        problem, _ = pendulum_problem(k=8, seed=2)
+        result = GaussNewtonSmoother(inner=RTSSmoother()).smooth(
+            problem, config=EstimatorConfig(compute_covariance=False)
+        )
+        assert result.diagnostics["converged"]
         assert result.covariances is None
 
     def test_max_iterations_respected(self):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import EstimatorConfig, SmootherBase
+from repro.core.smoother import OddEvenSmoother
 from repro.model.dense import dense_solve
 from repro.model.generators import random_problem
 from repro.model.nonlinear import coordinated_turn_problem, pendulum_problem
@@ -83,20 +85,15 @@ class TestLMSolver:
 
         calls = {"nc": 0, "cov": 0}
 
-        class SpyInner:
+        class SpyInner(SmootherBase):
             name = "spy"
 
-            def smooth(self, problem, backend=None, compute_covariance=True):
-                from repro.core.smoother import OddEvenSmoother
-
-                if compute_covariance:
+            def _smooth(self, problem, config):
+                if config.compute_covariance:
                     calls["cov"] += 1
                 else:
                     calls["nc"] += 1
-                return OddEvenSmoother(compute_covariance).smooth(
-                    problem, backend=backend,
-                    compute_covariance=compute_covariance,
-                )
+                return OddEvenSmoother().smooth(problem, config=config)
 
         problem, _ = pendulum_problem(k=30, seed=9)
         LevenbergMarquardtSmoother(inner=SpyInner()).smooth(problem)
@@ -106,6 +103,6 @@ class TestLMSolver:
     def test_skip_final_covariance(self):
         problem, _ = pendulum_problem(k=20, seed=10)
         result = LevenbergMarquardtSmoother().smooth(
-            problem, compute_covariance=False
+            problem, config=EstimatorConfig(compute_covariance=False)
         )
         assert result.covariances is None

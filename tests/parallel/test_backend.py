@@ -193,6 +193,7 @@ class TestRecordingBatchedDispatch:
             assert task.bytes_moved > 0
 
     def test_batch_smoother_records_replayable_graph(self):
+        from repro.api import EstimatorConfig
         from repro.batch import BatchSmoother
         from repro.model.generators import random_problem
         from repro.parallel.tally import measure_flops
@@ -203,7 +204,9 @@ class TestRecordingBatchedDispatch:
         ]
         backend = RecordingBackend()
         _, whole_run = measure_flops(
-            lambda: BatchSmoother().smooth_many(problems, backend)
+            lambda: BatchSmoother().smooth_many(
+                problems, config=EstimatorConfig(backend=backend)
+            )
         )
         graph_flops = sum(
             t.flops for ph in backend.graph.phases for t in ph.tasks

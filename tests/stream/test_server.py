@@ -5,8 +5,14 @@ import pytest
 
 from repro.core.smoother import OddEvenSmoother
 from repro.model.generators import random_problem, tracking_2d_problem
-from repro.model.steps import Evolution, Observation
-from repro.stream import FixedLagSmoother, StreamServer, StreamStep
+from repro.model.problem import StateSpaceProblem
+from repro.model.steps import Evolution, Observation, Step
+from repro.stream import (
+    FixedLagSmoother,
+    ShardedStreamServer,
+    StreamServer,
+    StreamStep,
+)
 
 
 def as_arrivals(problem):
@@ -171,6 +177,85 @@ class TestServing:
         mean2, cov2 = fls.estimate()
         assert np.allclose(mean, mean2, atol=1e-10)
         assert np.allclose(cov, cov2, atol=1e-10)
+
+
+class TestNonFiniteIngress:
+    """One NaN in a stream's input used to poison every emission of
+    that stream, including states before the bad step; submit now
+    rejects it by stream id and seq."""
+
+    @staticmethod
+    def identity_step(seq, o):
+        return StreamStep(
+            seq=seq,
+            evolution=None if seq == 0 else Evolution(F=np.eye(2)),
+            observation=Observation(G=np.eye(2), o=np.asarray(o)),
+        )
+
+    def test_nan_observation_rejected_then_resubmitted(self):
+        server = StreamServer(2)
+        rng = np.random.default_rng(5)
+        data = {sid: rng.standard_normal((8, 2)) for sid in ("a", "b")}
+        for sid in data:
+            server.open_stream(sid, 2)
+        for seq in range(8):
+            if seq == 3:
+                bad = self.identity_step(3, [np.nan, 1.0])
+                with pytest.raises(
+                    ValueError, match="'a' step 3: non-finite values in o;"
+                ):
+                    server.submit("a", bad)
+                assert server.stats()["per_stream"]["a"]["applied"] == 3
+            for sid, obs in data.items():
+                server.submit(sid, self.identity_step(seq, obs[seq]))
+        emitted = server.flush()
+        problem = StateSpaceProblem(
+            [
+                Step(2, evolution=s.evolution, observation=s.observation)
+                for s in map(self.identity_step, range(8), data["a"])
+            ]
+        )
+        assert [e.index for e in emitted["a"]] == list(range(6))
+        smoother = OddEvenSmoother()
+        for em in emitted["a"]:
+            prefix = smoother.smooth(problem.subproblem(em.frontier))
+            assert np.allclose(em.mean, prefix.means[em.index], atol=1e-8)
+        assert np.all(np.isfinite(server.estimate("a")[0]))
+
+    @pytest.mark.parametrize(
+        "field, evolution",
+        [
+            ("F", Evolution(F=[[np.inf, 0.0], [0.0, 1.0]])),
+            ("c", Evolution(F=np.eye(2), c=[0.0, np.nan])),
+            ("H", Evolution(F=np.eye(2), H=[[1.0, np.nan], [0.0, 1.0]])),
+        ],
+    )
+    def test_non_finite_evolution_rejected_before_buffering(
+        self, field, evolution
+    ):
+        server = StreamServer(2)
+        server.open_stream("a", 2)
+        with pytest.raises(
+            ValueError, match=f"'a' step 4: non-finite values in {field};"
+        ):
+            server.submit("a", StreamStep(seq=4, evolution=evolution))
+        assert server.stats()["per_stream"]["a"]["buffered"] == 0
+
+    def test_sharded_server_inherits_the_check(self):
+        server = ShardedStreamServer(2)
+        server.open_stream("a", 2)
+        with pytest.raises(
+            ValueError, match="'a' step 0: non-finite values in G;"
+        ):
+            server.submit(
+                "a",
+                StreamStep(
+                    seq=0,
+                    observation=Observation(
+                        G=[[np.nan, 0.0], [0.0, 1.0]], o=np.zeros(2)
+                    ),
+                ),
+            )
 
 
 class TestProtocolErrors:

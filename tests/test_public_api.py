@@ -19,8 +19,6 @@ EXPECTED_ALL = [
     "SmootherBase",
     "SmootherRegistry",
     "SmootherSpec",
-    "call_smoother",
-    "call_smoother_many",
     "default_registry",
     "make_smoother",
     "register_smoother",
@@ -124,20 +122,6 @@ def test_no_duplicate_exports():
 @pytest.mark.parametrize("name", EXPECTED_ALL)
 def test_every_export_resolves(name):
     assert getattr(repro, name) is not None
-
-
-def test_star_import_is_warning_free():
-    """The deprecated ALL_SMOOTHERS alias is reachable by attribute
-    but excluded from __all__, so `from repro import *` stays clean
-    under -W error::DeprecationWarning."""
-    import warnings
-
-    assert "ALL_SMOOTHERS" not in repro.__all__
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        namespace: dict = {}
-        exec("from repro import *", namespace)
-    assert "OddEvenSmoother" in namespace
 
 
 def test_registry_snapshot():
