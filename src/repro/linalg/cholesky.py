@@ -16,8 +16,11 @@ identity map and costs nothing).
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
+
 import numpy as np
-from scipy.linalg import cho_factor, cholesky as _cholesky
+from scipy.linalg import cholesky as _cholesky, get_lapack_funcs
 
 from ..parallel.tally import add_cost
 from .flops import cholesky_flops, trsm_bytes, trsm_flops
@@ -30,6 +33,7 @@ __all__ = [
     "Whitener",
     "stack_whiten",
     "stack_whiten_prepared",
+    "whiten_each",
     "whiten_packed",
 ]
 
@@ -83,15 +87,29 @@ def spd_solve(a: np.ndarray, b: np.ndarray, what: str = "matrix") -> np.ndarray:
     return _st(factor, y, lower=True, trans=1, check_finite=False)
 
 
-def spd_cholesky(a: np.ndarray, what: str = "covariance") -> np.ndarray:
+def spd_cholesky(
+    a: np.ndarray,
+    what: str = "covariance",
+    *,
+    names: Sequence[str] | None = None,
+) -> np.ndarray:
     """Lower-triangular Cholesky factor of an SPD matrix.
 
     Raises a :class:`numpy.linalg.LinAlgError` with a descriptive
     message when ``a`` is not symmetric positive definite; the paper's
     algorithms require nonsingular noise covariances (§2.2: the
     QR-based methods cannot handle singular ``K_i``/``L_i``).
+
+    An ``(N, n, n)`` stack is checked with the same symmetry tolerance
+    and factored by the same LAPACK ``potrf`` as a single matrix, so
+    slice ``b`` of the result equals ``spd_cholesky(a[b])`` bit for
+    bit.  Its error names every failing slice — as ``names[b]`` when
+    given (say ``"step 4"``), else by batch index — and carries their
+    indices as ``batch_slices``.
     """
     a = as_working_dtype(a)
+    if a.ndim == 3:
+        return _spd_cholesky_stack(a, what, names)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got {a.shape}")
     if a.shape[0] == 0:
@@ -112,6 +130,60 @@ def spd_cholesky(a: np.ndarray, what: str = "covariance") -> np.ndarray:
         ) from exc
     add_cost(cholesky_flops(a.shape[0]))
     return factor
+
+
+def _spd_cholesky_stack(
+    a: np.ndarray, what: str, names: Sequence[str] | None
+) -> np.ndarray:
+    """The ``(N, n, n)`` branch of :func:`spd_cholesky`."""
+    if a.shape[1] != a.shape[2]:
+        raise ValueError(f"{what} must be a stack of square matrices, got {a.shape}")
+    if a.shape[0] == 0 or a.shape[1] == 0:
+        return np.zeros(a.shape, dtype=a.dtype)
+    symmetric = np.isclose(a, np.swapaxes(a, 1, 2), rtol=1e-10, atol=1e-12).all(
+        axis=(1, 2)
+    )
+    if not symmetric.all():
+        raise _slice_error("must be symmetric", what, ~symmetric, names)
+    # scipy.linalg.cholesky calls this same potrf wrapper on a single
+    # matrix; each slice is Fortran-ordered like the factor it returns.
+    (potrf,) = get_lapack_funcs(("potrf",), (a,))
+    factor = np.empty(a.shape, a.dtype).transpose(0, 2, 1)
+    failed = np.zeros(a.shape[0], dtype=bool)
+    for b, slice_b in enumerate(a):
+        factor[b], info = potrf(slice_b, lower=True, clean=True)
+        failed[b] = info != 0
+    if failed.any():
+        raise _slice_error(
+            "is not positive definite; the QR-based smoothers require "
+            "nonsingular noise covariances",
+            what,
+            failed,
+            names,
+        )
+    add_cost(a.shape[0] * cholesky_flops(a.shape[1]))
+    return factor
+
+
+def _slice_error(
+    problem: str, what: str, bad: np.ndarray, names: Sequence[str] | None
+) -> np.linalg.LinAlgError:
+    slices = [int(b) for b in np.flatnonzero(bad)]
+    where = (
+        "at " + ", ".join(names[b] for b in slices)
+        if names is not None
+        else f"in batch slice(s) {slices}"
+    )
+    err = np.linalg.LinAlgError(f"{what} {where} {problem}")
+    err.batch_slices = slices
+    return err
+
+
+@functools.lru_cache(maxsize=None)
+def _lower_mask(n: int) -> np.ndarray:
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 class Whitener:
@@ -152,12 +224,16 @@ class Whitener:
             factor = as_working_dtype(np.asarray(cov))
             if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
                 raise ValueError("factor must be square")
-            if np.any(np.diag(factor) <= 0):
+            if (factor.diagonal() <= 0).any():
                 raise np.linalg.LinAlgError(
                     f"{what} factor must have positive diagonal"
                 )
             self.dim = factor.shape[0]
-            self._factor = np.tril(factor)
+            # np.tril with a cached mask: one whitener per linearized
+            # equation is built on every nonlinear iteration.
+            self._factor = np.where(
+                _lower_mask(self.dim), factor, np.zeros(1, factor.dtype)
+            )
         elif kind in ("identity", "scaled_identity"):
             if dim is None:
                 raise ValueError("dim is required for identity whiteners")
@@ -293,6 +369,32 @@ def stack_whiten(
         copy=False,
     )
     return solve_lower(factors, block_stack)
+
+
+def whiten_each(factors: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Whiten row ``b`` of an ``(N, n)`` stack with ``factors[b]``.
+
+    With ``factors = spd_cholesky(covs)``, row ``b`` of the result is,
+    bit for bit, what ``Whitener(covs[b]).whiten(vectors[b])`` returns:
+    the same LAPACK triangular solve, one slice at a time.
+    (:func:`stack_whiten` instead solves the whole stack with one
+    batched general solve, which is faster but rounds differently.)
+    """
+    vectors = as_working_dtype(vectors)
+    count, n = vectors.shape
+    if count == 0 or n == 0:
+        return vectors.copy()
+    factors = factors.astype(vectors.dtype, copy=False)
+    (trtrs,) = get_lapack_funcs(("trtrs",), (factors, vectors))
+    out = np.empty_like(vectors)
+    for b in range(count):
+        out[b], info = trtrs(factors[b], vectors[b], lower=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"whitening factor in batch slice {b} is singular"
+            )
+    add_cost(count * trsm_flops(n, 1), count * trsm_bytes(n, 1))
+    return out
 
 
 def stack_whiten_prepared(

@@ -28,11 +28,13 @@ bearings-only tunnel, cubic sensor).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
+from ..linalg.cholesky import Whitener, spd_cholesky, whiten_each
 from .problem import StateSpaceProblem
 from .steps import Evolution, GaussianPrior, Observation, Step, _as_cov_whitener
 
@@ -91,6 +93,9 @@ class LinearizedFn:
     smoothers add it to the step's noise covariance, which is what
     makes posterior-linearization iterations well posed away from the
     Gauss–Newton fixed point.
+
+    A stacked linearization holds ``(N, m, n)``/``(N, m)``/``(N, m, m)``
+    arrays, slice ``j`` belonging to point ``j``.
     """
 
     F: np.ndarray
@@ -104,10 +109,13 @@ class Linearizer(Protocol):
 
     ``linearize(fn, mean, cov)`` returns a :class:`LinearizedFn` valid
     around ``mean`` (point methods) or against the Gaussian density
-    ``N(mean, cov)`` (statistical methods).  ``needs_covariance``
-    advertises whether ``cov`` is required — callers without marginal
-    covariances (plain Gauss–Newton) check it up front instead of
-    failing mid-sweep.
+    ``N(mean, cov)`` (statistical methods).  It works on stacks: with
+    an ``(N, n)`` ``mean``, an ``(N, n, n)`` ``cov`` and ``fn`` either
+    one function or a sequence of ``N`` (one per point), it returns
+    stacked arrays; a single ``(n,)`` point is the ``N = 1`` case and
+    returns unstacked ones.  ``needs_covariance`` advertises whether
+    ``cov`` is required — callers without marginal covariances (plain
+    Gauss–Newton) check it up front instead of failing mid-sweep.
     """
 
     name: str
@@ -115,10 +123,40 @@ class Linearizer(Protocol):
 
     def linearize(
         self,
-        fn: NonlinearFunction,
+        fn: NonlinearFunction | Sequence[NonlinearFunction],
         mean: np.ndarray,
         cov: np.ndarray | None = None,
     ) -> LinearizedFn: ...
+
+
+def _stacked(fn, mean, cov):
+    """``(fns, mean, cov, single)`` with a leading point axis."""
+    mean = np.asarray(mean, dtype=float)
+    single = mean.ndim == 1
+    if single:
+        mean = mean[None]
+    if cov is not None:
+        cov = np.asarray(cov, dtype=float)
+        if single:
+            cov = cov[None]
+    fns = [fn] * len(mean) if callable(fn) else list(fn)
+    if len(fns) != len(mean):
+        raise ValueError(
+            f"got {len(fns)} functions for {len(mean)} linearization points"
+        )
+    return fns, mean, cov, single
+
+
+def _unstacked(lf: LinearizedFn, single: bool) -> LinearizedFn:
+    if not single:
+        return lf
+    omega = None if lf.omega is None else lf.omega[0]
+    return LinearizedFn(F=lf.F[0], c=lf.c[0], omega=omega)
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a[j] @ x[j]`` for every slice ``j``."""
+    return (a @ x[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -135,13 +173,14 @@ class JacobianLinearizer:
 
     def linearize(
         self,
-        fn: NonlinearFunction,
+        fn: NonlinearFunction | Sequence[NonlinearFunction],
         mean: np.ndarray,
         cov: np.ndarray | None = None,
     ) -> LinearizedFn:
-        mean = np.asarray(mean, dtype=float)
-        f = fn.jac(mean)
-        return LinearizedFn(F=f, c=fn(mean) - f @ mean, omega=None)
+        fns, mean, _, single = _stacked(fn, mean, None)
+        f = np.stack([g.jac(x) for g, x in zip(fns, mean)])
+        y = np.stack([g(x) for g, x in zip(fns, mean)])
+        return _unstacked(LinearizedFn(F=f, c=y - _matvec(f, mean)), single)
 
 
 @dataclass(frozen=True)
@@ -160,6 +199,11 @@ class SigmaPointLinearizer:
     recovers ``F, c`` exactly on affine functions with ``omega = 0``,
     which is why IPLS collapses to the linear solution on linear
     problems.
+
+    A stack of ``N`` densities is regressed with stacked ``cholesky``/
+    ``solve``/``eigh`` calls; only a slice whose scaled covariance is
+    not positive definite takes the eigenvalue square root, and only a
+    slice whose ``P_xx`` is singular takes the least-squares fit.
     """
 
     alpha: float = 1.0
@@ -184,21 +228,21 @@ class SigmaPointLinearizer:
         return lam, w_mean, w_cov
 
     def sigma_points(self, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-        """The ``(2n + 1, n)`` scaled sigma points of ``N(mean, cov)``."""
+        """The ``(N, 2n + 1, n)`` scaled sigma points of the densities
+        ``N(mean[j], cov[j])`` (``(2n + 1, n)`` for one density)."""
         mean = np.asarray(mean, dtype=float)
-        n = mean.shape[0]
+        cov = np.asarray(cov, dtype=float)
+        if mean.ndim == 1:
+            return self.sigma_points(mean[None], cov[None])[0]
+        n = mean.shape[-1]
         lam, _, _ = self.weights(n)
-        scaled = (n + lam) * _symmetrize(np.asarray(cov, dtype=float))
-        root = _psd_sqrt(scaled)
-        points = np.empty((2 * n + 1, n))
-        points[0] = mean
-        points[1 : n + 1] = mean + root.T
-        points[n + 1 :] = mean - root.T
-        return points
+        root_t = np.swapaxes(_psd_sqrt((n + lam) * _symmetrize(cov)), 1, 2)
+        center = mean[:, None, :]
+        return np.concatenate([center, center + root_t, center - root_t], axis=1)
 
     def linearize(
         self,
-        fn: NonlinearFunction,
+        fn: NonlinearFunction | Sequence[NonlinearFunction],
         mean: np.ndarray,
         cov: np.ndarray | None = None,
     ) -> LinearizedFn:
@@ -208,70 +252,86 @@ class SigmaPointLinearizer:
                 "N(mean, cov): pass the marginal covariances (IPLS "
                 "threads the current smoothed covariances here)"
             )
-        mean = np.asarray(mean, dtype=float)
-        n = mean.shape[0]
+        fns, mean, cov, single = _stacked(fn, mean, cov)
+        count, n = mean.shape
         _, w_mean, w_cov = self.weights(n)
         points = self.sigma_points(mean, cov)
-        ys = np.stack([fn(p) for p in points])
+        ys = np.stack([g(p) for g, pts in zip(fns, points) for p in pts])
+        ys = ys.reshape(count, 2 * n + 1, -1)
         ybar = w_mean @ ys
-        dx = points - mean
-        dy = ys - ybar
+        # C order lays each slice out as the one-point expression does,
+        # so the products below make the same BLAS calls per slice.
+        dx = np.subtract(points, mean[:, None, :], order="C")
+        dy = np.subtract(ys, ybar[:, None, :], order="C")
         # Regress against the sigma-point-reconstructed P_xx (the
         # center point drops out: dx_0 = 0), so F is exactly the
         # least-squares fit on the propagated points and omega is PSD
         # up to roundoff regardless of the cov's conditioning.
-        p_xx = (dx * w_cov[:, None]).T @ dx
-        p_xy = (dx * w_cov[:, None]).T @ dy
-        p_yy = (dy * w_cov[:, None]).T @ dy
-        try:
-            f = np.linalg.solve(_symmetrize(p_xx), p_xy).T
-        except np.linalg.LinAlgError:
-            f = np.linalg.lstsq(p_xx, p_xy, rcond=None)[0].T
+        wdx_t = np.swapaxes(np.multiply(dx, w_cov[:, None], order="C"), 1, 2)
+        p_xx = wdx_t @ dx
+        p_xy = wdx_t @ dy
+        p_yy = np.swapaxes(np.multiply(dy, w_cov[:, None], order="C"), 1, 2) @ dy
+        slopes = _each_or(
+            lambda sym, b, _raw: np.linalg.solve(sym, b),
+            lambda _sym, b, raw: np.linalg.lstsq(raw, b, rcond=None)[0],
+            _symmetrize(p_xx),
+            p_xy,
+            p_xx,
+        )
+        f = np.swapaxes(slopes, 1, 2)
         omega = _psd_clip(p_yy - f @ p_xy)
-        return LinearizedFn(F=f, c=ybar - f @ mean, omega=omega)
+        return _unstacked(
+            LinearizedFn(F=f, c=ybar - _matvec(f, mean), omega=omega), single
+        )
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _each_or(kernel, fallback, *stacks: np.ndarray) -> np.ndarray:
+    """``kernel`` over whole stacks; when it raises ``LinAlgError``,
+    slice by slice, with ``fallback`` on just the slices that raise."""
+    try:
+        return kernel(*stacks)
+    except np.linalg.LinAlgError:
+        pass
+    out = []
+    for parts in zip(*stacks):
+        try:
+            out.append(kernel(*parts))
+        except np.linalg.LinAlgError:
+            out.append(fallback(*parts))
+    return np.stack(out)
+
+
+def _eigh_root(a: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(a)
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
     """A square root ``S`` with ``S S^T = a`` (lower Cholesky when PD,
-    eigenvalue-clipped symmetric root otherwise)."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(a)
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    eigenvalue-clipped symmetric root otherwise), slice by slice."""
+    return _each_or(np.linalg.cholesky, _eigh_root, a)
 
 
 def _psd_clip(a: np.ndarray) -> np.ndarray:
-    """Project a nearly-PSD matrix onto the PSD cone (roundoff guard)."""
+    """Project nearly-PSD matrices onto the PSD cone (roundoff guard)."""
     a = _symmetrize(a)
-    vals, vecs = np.linalg.eigh(a)
-    if vals.size == 0 or vals[0] >= 0.0:
+    if a.shape[-1] == 0:
         return a
-    return _symmetrize((vecs * np.clip(vals, 0.0, None)) @ vecs.T)
+    vals, vecs = np.linalg.eigh(a)
+    negative = vals[..., 0] < 0.0
+    if not negative.any():
+        return a
+    scaled = np.multiply(vecs, np.clip(vals, 0.0, None)[..., None, :], order="C")
+    clipped = scaled @ np.swapaxes(vecs, -1, -2)
+    return np.where(negative[..., None, None], _symmetrize(clipped), a)
 
 
 def _cast(a: np.ndarray, dtype) -> np.ndarray:
     return np.asarray(a, dtype=float if dtype is None else dtype)
-
-
-def _linearized_noise(cov, rows: int, omega, dtype, what: str):
-    """The step noise for a linearized equation.
-
-    Point linearizations (``omega is None``) pass the model covariance
-    through untouched — scalar / ``Whitener`` / ``None`` forms
-    included — so the Jacobian path stays bit-identical to the legacy
-    behavior.  Statistical linearizations materialize it and add the
-    SLR residual covariance.  ``dtype`` casts any materialized matrix.
-    """
-    if omega is not None:
-        cov = _as_cov_whitener(cov, rows, what).covariance() + omega
-    if dtype is not None and isinstance(cov, np.ndarray):
-        cov = np.asarray(cov, dtype=dtype)
-    return cov
 
 
 @dataclass
@@ -292,8 +352,111 @@ class NonlinearStep:
     observation_cov: np.ndarray | None = None
 
 
+#: the :class:`NonlinearStep` data that must be finite
+_FINITE_FIELDS = ("observation", "c", "evolution_cov", "observation_cov")
+
+
+def _is_matrix(cov) -> bool:
+    """Whether a model covariance is a matrix (not ``None``, a scalar
+    variance or a :class:`Whitener`)."""
+    return isinstance(cov, np.ndarray) or not (
+        cov is None or isinstance(cov, Whitener) or np.isscalar(cov)
+    )
+
+
+def _cov_key(cov):
+    """Grouping key of a model covariance: matrices stack per dtype,
+    everything else is whitened one equation at a time."""
+    return np.asarray(cov).dtype if _is_matrix(cov) else None
+
+
+def _group_by(indices, key) -> list[list[int]]:
+    groups: dict = {}
+    for i in indices:
+        groups.setdefault(key(i), []).append(i)
+    return list(groups.values())
+
+
+def _step_names(steps: list[int]) -> list[str]:
+    return [f"step {i}" for i in steps]
+
+
+def _model_factors(covs, rows: int, what: str, steps: list[int], dtype=None):
+    """Cholesky factors of a group's covariance matrices, validated in
+    one stacked call."""
+    mats = [np.asarray(cov) for cov in covs]
+    for i, mat in zip(steps, mats):
+        if mat.shape != (rows, rows):
+            raise ValueError(
+                f"{what} at step {i} has shape {mat.shape}, expected "
+                f"({rows}, {rows})"
+            )
+    stack = np.stack(mats)
+    if dtype is not None:
+        stack = stack.astype(dtype)
+    return spd_cholesky(stack, what, names=_step_names(steps))
+
+
+def _group_noise(covs, rows: int, omega, dtype, what: str, steps: list[int]):
+    """The noise of each linearized equation of one group.
+
+    Point linearizations (``omega is None``) keep the model covariance:
+    a scalar, ``Whitener`` or ``None`` passes through untouched and a
+    matrix becomes the whitener of its factor.  Statistical
+    linearizations build the model covariance ``S S^T`` from its
+    validated factor, add the SLR residual covariance and validate and
+    factor the sums in one stacked call.  ``dtype`` casts the matrices
+    that are factored.
+    """
+    if _is_matrix(covs[0]):
+        factors = _model_factors(
+            covs, rows, what, steps, dtype if omega is None else None
+        )
+        if omega is None:
+            return [Whitener(f, kind="factor", what=what) for f in factors]
+        model = factors @ np.swapaxes(factors, 1, 2)
+    elif omega is None:
+        return list(covs)
+    else:
+        model = np.stack(
+            [_as_cov_whitener(cov, rows, what).covariance() for cov in covs]
+        )
+    factors = spd_cholesky(
+        _cast(model + omega, dtype), f"{what} + omega", names=_step_names(steps)
+    )
+    return [Whitener(f, kind="factor", what=what) for f in factors]
+
+
+def _whitened_squares(resid: np.ndarray, covs, what: str, steps: list[int]):
+    """``|V r|^2`` of each residual row, whitened exactly as its own
+    :meth:`Whitener.whiten` would."""
+    rows = resid.shape[1]
+    if _is_matrix(covs[0]):
+        white = whiten_each(_model_factors(covs, rows, what, steps), resid)
+    else:
+        white = np.stack(
+            [
+                _as_cov_whitener(cov, rows, what).whiten(r)
+                for cov, r in zip(covs, resid)
+            ]
+        )
+    return np.vecdot(white, white)
+
+
+def _offset(step: NonlinearStep) -> np.ndarray:
+    return step.c if step.c is not None else np.zeros(step.state_dim)
+
+
+def _stack_at(arrays, indices: list[int]):
+    return None if arrays is None else np.stack([arrays[i] for i in indices])
+
+
 class NonlinearProblem:
-    """A nonlinear estimation problem (``H_i = I`` throughout)."""
+    """A nonlinear estimation problem (``H_i = I`` throughout).
+
+    Construction rejects non-finite observations, offsets, noise
+    covariances and prior data, naming the step and field.
+    """
 
     def __init__(
         self, steps: list[NonlinearStep], prior: GaussianPrior | None = None
@@ -305,6 +468,18 @@ class NonlinearProblem:
         for i, s in enumerate(steps[1:], start=1):
             if s.evolution_fn is None:
                 raise ValueError(f"step {i} is missing its evolution function")
+        for i, s in enumerate(steps):
+            for name in _FINITE_FIELDS:
+                value = getattr(s, name)
+                if value is None or isinstance(value, Whitener):
+                    continue
+                if not np.isfinite(value).all():
+                    raise ValueError(f"step {i} has a non-finite {name}")
+        if prior is not None:
+            if not np.isfinite(prior.mean).all():
+                raise ValueError("the prior has a non-finite mean")
+            if not np.isfinite(prior.cov.factor_matrix()).all():
+                raise ValueError("the prior has a non-finite covariance")
         self.steps = steps
         self.prior = prior
 
@@ -315,6 +490,34 @@ class NonlinearProblem:
     @property
     def state_dims(self) -> list[int]:
         return [s.state_dim for s in self.steps]
+
+    def _evolution_groups(self, states: list[np.ndarray]) -> list[list[int]]:
+        """Steps whose evolution equations share their shapes."""
+        steps = self.steps
+        return _group_by(
+            (i for i in range(1, len(steps)) if steps[i].evolution_fn is not None),
+            lambda i: (
+                states[i - 1].shape,
+                steps[i].state_dim,
+                _cov_key(steps[i].evolution_cov),
+            ),
+        )
+
+    def _observation_groups(self, states: list[np.ndarray]) -> list[list[int]]:
+        """Steps whose observation equations share their shapes."""
+        steps = self.steps
+        return _group_by(
+            (
+                i
+                for i, s in enumerate(steps)
+                if s.observation_fn is not None and s.observation is not None
+            ),
+            lambda i: (
+                states[i].shape,
+                np.shape(steps[i].observation),
+                _cov_key(steps[i].observation_cov),
+            ),
+        )
 
     def linearize(
         self,
@@ -342,6 +545,11 @@ class NonlinearProblem:
         (``EstimatorConfig(dtype=...).solve_dtype``) so the
         mixed-precision batched path is not silently defeated by
         float64 inputs.
+
+        Equations with the same shapes are linearized together: one
+        stacked linearizer call per group, and one stacked validation
+        and factorization per group of the noise covariances it needs.
+        Their errors name the step.
         """
         if len(trajectory) != len(self.steps):
             raise ValueError(
@@ -360,37 +568,55 @@ class NonlinearProblem:
                 "covariances; pass covariances= (IPLS threads the "
                 "current smoothed covariances automatically)"
             )
-        out: list[Step] = []
-        for i, s in enumerate(self.steps):
-            u0 = np.asarray(trajectory[i], dtype=float)
-            cov_i = None if covariances is None else covariances[i]
-            evo = None
-            if i > 0 and s.evolution_fn is not None:
-                uprev = np.asarray(trajectory[i - 1], dtype=float)
-                cov_prev = None if covariances is None else covariances[i - 1]
-                lf = lin.linearize(s.evolution_fn, uprev, cov_prev)
-                c = s.c if s.c is not None else np.zeros(s.state_dim)
-                evo = Evolution(
-                    F=_cast(lf.F, dtype),
-                    c=_cast(c + lf.c, dtype),
-                    K=_linearized_noise(
-                        s.evolution_cov, s.state_dim, lf.omega, dtype,
-                        "evolution covariance K",
-                    ),
-                )
-            obs = None
-            if s.observation_fn is not None and s.observation is not None:
-                lf = lin.linearize(s.observation_fn, u0, cov_i)
-                o = np.asarray(s.observation, dtype=float)
-                obs = Observation(
-                    G=_cast(lf.F, dtype),
-                    o=_cast(o - lf.c, dtype),
-                    L=_linearized_noise(
-                        s.observation_cov, o.shape[0], lf.omega, dtype,
-                        "observation covariance L",
-                    ),
-                )
-            out.append(Step(state_dim=s.state_dim, evolution=evo, observation=obs))
+        steps = self.steps
+        states = [np.asarray(u, dtype=float) for u in trajectory]
+        evolutions: dict[int, Evolution] = {}
+        for idx in self._evolution_groups(states):
+            prev = [i - 1 for i in idx]
+            lf = lin.linearize(
+                [steps[i].evolution_fn for i in idx],
+                np.stack([states[i] for i in prev]),
+                _stack_at(covariances, prev),
+            )
+            c = _cast(np.stack([_offset(steps[i]) for i in idx]) + lf.c, dtype)
+            noise = _group_noise(
+                [steps[i].evolution_cov for i in idx],
+                steps[idx[0]].state_dim,
+                lf.omega,
+                dtype,
+                "evolution covariance K",
+                idx,
+            )
+            f = _cast(lf.F, dtype)
+            for j, i in enumerate(idx):
+                evolutions[i] = Evolution(F=f[j], c=c[j], K=noise[j])
+        observations: dict[int, Observation] = {}
+        for idx in self._observation_groups(states):
+            lf = lin.linearize(
+                [steps[i].observation_fn for i in idx],
+                np.stack([states[i] for i in idx]),
+                _stack_at(covariances, idx),
+            )
+            o = np.stack([np.asarray(steps[i].observation, dtype=float) for i in idx])
+            noise = _group_noise(
+                [steps[i].observation_cov for i in idx],
+                o.shape[1],
+                lf.omega,
+                dtype,
+                "observation covariance L",
+                idx,
+            )
+            g, o = _cast(lf.F, dtype), _cast(o - lf.c, dtype)
+            for j, i in enumerate(idx):
+                observations[i] = Observation(G=g[j], o=o[j], L=noise[j])
+        out = [
+            Step(
+                state_dim=s.state_dim,
+                evolution=evolutions.get(i),
+                observation=observations.get(i),
+            )
+            for i, s in enumerate(steps)
+        ]
         prior = self.prior
         if dtype is not None and prior is not None:
             prior = GaussianPrior(
@@ -400,28 +626,47 @@ class NonlinearProblem:
         return StateSpaceProblem(out, prior=prior)
 
     def objective(self, trajectory: list[np.ndarray]) -> float:
-        """The nonlinear generalized least-squares objective (paper eq. 4)."""
+        """The nonlinear generalized least-squares objective (paper eq. 4).
+
+        Equations with the same shapes are evaluated and whitened
+        together, then the squares are added one equation at a time:
+        the prior first, then each step's evolution and observation
+        term.  The sum is therefore the same, bit for bit, as whitening
+        and adding each equation on its own.
+        """
+        steps = self.steps
+        states = [np.asarray(u, dtype=float) for u in trajectory]
+        squares = np.zeros((len(steps), 2))
+        for idx in self._evolution_groups(states):
+            resid = np.stack(
+                [
+                    states[i] - steps[i].evolution_fn(states[i - 1]) - _offset(steps[i])
+                    for i in idx
+                ]
+            )
+            squares[idx, 0] = _whitened_squares(
+                resid,
+                [steps[i].evolution_cov for i in idx],
+                "evolution covariance K",
+                idx,
+            )
+        for idx in self._observation_groups(states):
+            resid = np.stack(
+                [steps[i].observation - steps[i].observation_fn(states[i]) for i in idx]
+            )
+            squares[idx, 1] = _whitened_squares(
+                resid,
+                [steps[i].observation_cov for i in idx],
+                "observation covariance L",
+                idx,
+            )
         total = 0.0
         if self.prior is not None:
-            r = self.prior.cov.whiten(
-                np.asarray(trajectory[0], dtype=float) - self.prior.mean
-            )
+            r = self.prior.cov.whiten(states[0] - self.prior.mean)
             total += float(r @ r)
-        for i, s in enumerate(self.steps):
-            u = np.asarray(trajectory[i], dtype=float)
-            if i > 0 and s.evolution_fn is not None:
-                c = s.c if s.c is not None else np.zeros(s.state_dim)
-                resid = u - s.evolution_fn(trajectory[i - 1]) - c
-                white = Evolution(
-                    F=np.eye(s.state_dim), K=s.evolution_cov
-                ).K.whiten(resid)
-                total += float(white @ white)
-            if s.observation_fn is not None and s.observation is not None:
-                resid = s.observation - s.observation_fn(u)
-                white = Observation(
-                    G=np.eye(len(resid)), o=resid, L=s.observation_cov
-                ).L.whiten(resid)
-                total += float(white @ white)
+        # An absent equation adds 0.0, which leaves a sum unchanged.
+        for term in squares.ravel().tolist():
+            total += term
         return total
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.linalg.cholesky import Whitener, spd_cholesky, spd_solve
+from repro.linalg.cholesky import Whitener, spd_cholesky, spd_solve, whiten_each
 
 sizes = st.integers(min_value=1, max_value=8)
 
@@ -40,6 +40,70 @@ class TestSpdCholesky:
     def test_error_names_source(self):
         with pytest.raises(np.linalg.LinAlgError, match="covariance K"):
             spd_cholesky(-np.eye(2), what="covariance K")
+
+
+class TestSpdCholeskyStack:
+    """The ``(N, n, n)`` branch: same checks, same bits, named slices."""
+
+    @given(
+        n=sizes,
+        count=st.integers(1, 6),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_slices_equal_single_factorizations(self, n, count, dtype):
+        stack = np.stack([spd(n, seed=n + b) for b in range(count)]).astype(dtype)
+        factors = spd_cholesky(stack)
+        assert factors.dtype == dtype
+        for b in range(count):
+            assert np.array_equal(factors[b], spd_cholesky(stack[b]))
+
+    def test_symmetry_tolerance_matches_single_matrix(self):
+        a = spd(3)
+        a[0, 1] += 1e-11 * abs(a[0, 1])  # within rtol=1e-10
+        spd_cholesky(a)
+        spd_cholesky(np.stack([a, a]))
+
+    def test_error_names_every_failing_slice(self):
+        stack = np.stack([np.eye(2), -np.eye(2), 2 * np.eye(2), np.diag([1.0, 0.0])])
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match=r"covariance K in batch slice\(s\) \[1, 3\] is not positive definite",
+        ) as info:
+            spd_cholesky(stack, "covariance K")
+        assert info.value.batch_slices == [1, 3]
+
+    def test_error_uses_slice_names(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])])
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match="observation covariance L at step 7 must be symmetric",
+        ) as info:
+            spd_cholesky(stack, "observation covariance L", names=["step 3", "step 7"])
+        assert info.value.batch_slices == [1]
+
+    def test_empty_and_nonsquare(self):
+        assert spd_cholesky(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+        assert spd_cholesky(np.zeros((3, 0, 0))).shape == (3, 0, 0)
+        with pytest.raises(ValueError, match="square"):
+            spd_cholesky(np.zeros((2, 2, 3)))
+
+
+class TestWhitenEach:
+    @given(n=sizes, count=st.integers(1, 6))
+    def test_rows_equal_single_whitening(self, n, count):
+        covs = np.stack([spd(n, seed=3 * n + b) for b in range(count)])
+        vectors = np.random.default_rng(n).standard_normal((count, n))
+        white = whiten_each(spd_cholesky(covs), vectors)
+        for b in range(count):
+            assert np.array_equal(white[b], Whitener(covs[b]).whiten(vectors[b]))
+
+    def test_float32_factors_whiten_float64_rows(self):
+        covs = np.stack([spd(3, seed=b) for b in range(4)]).astype(np.float32)
+        vectors = np.random.default_rng(0).standard_normal((4, 3))
+        white = whiten_each(spd_cholesky(covs), vectors)
+        assert white.dtype == np.float64
+        for b in range(4):
+            assert np.array_equal(white[b], Whitener(covs[b]).whiten(vectors[b]))
 
 
 class TestWhitener:
