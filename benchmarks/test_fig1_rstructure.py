@@ -26,14 +26,9 @@ def test_fig1_structure(benchmark):
     assert np.array_equal(occ, np.triu(occ))
     assert occ.sum(axis=1).max() <= 3
     assert data["nonzero_blocks"] <= 3 * 51
+    # the same record ``python -m repro.bench.figures fig1`` writes
     save_results(
-        "fig1",
-        {
-            "k": data["k"],
-            "order": data["order"],
-            "nonzero_blocks": data["nonzero_blocks"],
-            "ascii": data["ascii"],
-        },
+        "fig1", {k: v for k, v in data.items() if k != "occupancy"}
     )
     print("\nFigure 1 — odd-even R structure, k=50 "
           f"({data['nonzero_blocks']} nonzero blocks):")

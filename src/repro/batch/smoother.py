@@ -52,6 +52,7 @@ from ..api import Capabilities, EstimatorConfig, SmootherBase
 from ..api.base import _cast_result
 from ..core.oddeven_qr import oddeven_factorize
 from ..core.selinv import selinv_oddeven
+from ..core.smoother import reject_nonfinite
 from ..core.solve import oddeven_back_substitute, oddeven_rt_solve
 from ..kalman.result import SmootherResult
 from ..linalg.triangular import instrumented_matvec, mat_transpose
@@ -515,6 +516,9 @@ class BatchSmoother(SmootherBase):
                 covs = list(selinv_oddeven(cov_factor, backend).diagonal)
                 phases["selinv"] += time.perf_counter() - t0
         except np.linalg.LinAlgError as exc:
+            # A singular or non-finite diagonal, or a non-finite state,
+            # is often non-finite input: name it instead.
+            reject_nonfinite(members, exc, indices=indices)
             slices = getattr(exc, "batch_slices", None)
             if not slices:
                 raise
@@ -527,6 +531,8 @@ class BatchSmoother(SmootherBase):
                 f"{exc} (problem index(es) {culprits} of the "
                 "smooth_many workload)"
             ) from exc
+        if not np.isfinite(to_host(residual)).all():
+            reject_nonfinite(members, None, indices=indices)
         algorithm = "batch-odd-even" + ("" if want_cov else "-nc")
         depth = factor.depth()
         if foreign:

@@ -26,19 +26,22 @@ the least-squares residual.  Work is ``Theta(k n^3)`` and the critical
 path ``Theta(log k * n log n)`` (paper §3.3); every stage is a
 ``parallel_for`` over disjoint block-row pairs.
 
-Batching
+Stacking
 --------
-Every stage is written against the *last two* axes of its blocks, so
-the same code eliminates one sequence (2-D blocks, RHS vectors of
-shape ``(rows,)``) or a stack of ``B`` independent sequences with
-identical block structure (3-D ``(B, rows, cols)`` blocks, RHS arrays
-of shape ``(B, rows)``).  :func:`~repro.linalg.householder.qr_factor`
-dispatches each pivot factorization to the scalar LAPACK path or the
-batched stacked-QR kernel accordingly, which is how
-:class:`repro.batch.BatchSmoother` collapses thousands of tiny QRs per
-level into a few large stacked calls.  In the batched case the
-accumulated ``residual_sq`` is a ``(B,)`` array (one residual per
-sequence).
+Each stage of each level groups its columns by block signature and
+factors every group with stacked calls (:mod:`repro.core.stacked`):
+the pivots of a group are one ``(S, rows, cols)`` stack, factored by
+:func:`~repro.linalg.householder.qr_factor` in chunks of at most
+:data:`~repro.core.stacked.STACK_SLICES` slices, with ``Q^T`` applied
+to the coupled blocks and the right-hand side in the same pass.  The
+same code eliminates one sequence (2-D blocks, RHS vectors of shape
+``(rows,)``) or a stack of ``B`` independent sequences with identical
+block structure (3-D ``(B, rows, cols)`` blocks, RHS arrays of shape
+``(B, rows)``): the group and batch axes flatten into one stack axis.
+In the batched case the accumulated ``residual_sq`` is a ``(B,)`` array
+(one residual per sequence).  The execution backend does not run the
+stages; a recording backend receives each column's kernel costs, so
+the task graph it records is the per-column one of the paper.
 """
 
 from __future__ import annotations
@@ -47,106 +50,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..linalg.flops import qr_apply_flops, qr_bytes, qr_flops
 from ..linalg.householder import qr_factor
+from ..linalg.triangular import batch_count
 from ..linalg.xp import get_namespace
 from ..model.problem import StateSpaceProblem, WhitenedProblem
 from ..parallel.backend import Backend, SerialBackend
 from .rfactor import OddEvenR, RBlockRow
+from .stacked import Ref, by_shape, gather, group_by, stacked
 
 __all__ = ["oddeven_factorize", "OddEvenLevelStats"]
-
-
-def _vcat(*blocks: np.ndarray) -> np.ndarray:
-    """Stack row blocks along the row (second-to-last) axis."""
-    return get_namespace(*blocks).concatenate(blocks, axis=-2)
-
-
-def _zeros_rows(template: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A zero block of ``rows x cols`` sharing ``template``'s batch shape.
-
-    The zeros inherit ``template``'s dtype: a float64 zero block
-    concatenated into a float32 pivot would silently promote the whole
-    elimination to double precision.
-    """
-    return get_namespace(template).zeros(
-        tuple(template.shape[:-2]) + (rows, cols), dtype=template.dtype
-    )
-
-
-def _with_rhs(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Append the RHS as one extra column of ``mat``."""
-    return get_namespace(mat, rhs).concatenate([mat, rhs[..., None]], axis=-1)
-
-
-def _cat_rhs(*parts: np.ndarray) -> np.ndarray:
-    """Concatenate RHS pieces along their row (last) axis."""
-    return get_namespace(*parts).concatenate(parts, axis=-1)
-
-
-def _sumsq(x: np.ndarray):
-    """Squared norm over the row axis: a float, or ``(B,)`` when batched."""
-    return get_namespace(x).sum(x * x, axis=-1)
-
-
-@dataclass
-class _EvoRows:
-    """Evolution-like rows coupling a column to its left neighbour.
-
-    ``nb`` is the block as it appears in the matrix (i.e. ``-B``); no
-    sign bookkeeping is ever needed because Stage B leftovers are
-    already in as-it-appears form.
-    """
-
-    nb: np.ndarray
-    d: np.ndarray
-    rhs: np.ndarray
-
-    @classmethod
-    def empty(
-        cls,
-        n_left: int,
-        n_right: int,
-        batch_shape: tuple = (),
-        dtype=np.float64,
-        xp=np,
-    ) -> "_EvoRows":
-        batch_shape = tuple(batch_shape)
-        return cls(
-            nb=xp.zeros(batch_shape + (0, n_left), dtype=dtype),
-            d=xp.zeros(batch_shape + (0, n_right), dtype=dtype),
-            rhs=xp.zeros(batch_shape + (0,), dtype=dtype),
-        )
-
-    @property
-    def rows(self) -> int:
-        return self.nb.shape[-2]
-
-
-@dataclass
-class _Column:
-    """One block column at some recursion level."""
-
-    orig: int
-    n: int
-    c: np.ndarray
-    rhs_c: np.ndarray
-
-
-@dataclass
-class _StageA:
-    rtil: np.ndarray
-    rhs: np.ndarray
-    x: np.ndarray | None
-    dtil: np.ndarray | None
-    dtil_rhs: np.ndarray | None
-    residual_sq: "float | np.ndarray"
-
-
-@dataclass
-class _StageB:
-    row: RBlockRow
-    new_evo: _EvoRows | None
-    extra_obs: tuple[np.ndarray, np.ndarray] | None
 
 
 @dataclass
@@ -159,153 +72,429 @@ class OddEvenLevelStats:
     odds: int
 
 
-def _stage_a(col: _Column, evo_next: _EvoRows | None) -> _StageA:
-    """Factor ``[C_i; -B_{i+1}]`` and push ``Q^T`` through ``[0; D_{i+1}]``."""
-    n = col.n
-    if evo_next is None:
-        # Last even column: only its observation rows participate.
-        rows = col.c.shape[-2]
-        if rows == 0:
-            return _StageA(
-                _zeros_rows(col.c, 0, n),
-                col.rhs_c[..., :0],
-                None,
-                None,
-                None,
-                0.0,
+@dataclass
+class _Column:
+    """One block column at some recursion level: ``rows`` observation
+    rows ``c`` (``rows x n``) with right-hand side ``rhs``."""
+
+    orig: int
+    n: int
+    rows: int
+    c: Ref
+    rhs: Ref
+
+
+@dataclass
+class _EvoRows:
+    """Evolution-like rows coupling a column to its left neighbour.
+
+    ``nb`` is the block as it appears in the matrix (i.e. ``-B``); no
+    sign bookkeeping is ever needed because Stage B leftovers are
+    already in as-it-appears form.
+    """
+
+    rows: int
+    nb: Ref
+    d: Ref
+    rhs: Ref
+
+
+def _qr_apply(pivot, coupled):
+    """One stacked QR of ``pivot`` with ``Q^T`` applied to ``coupled``."""
+    qf = qr_factor(pivot)
+    return qf.r, qf.apply_qt(coupled)
+
+
+def _qr_costs(slices: int, m: int, n: int, p: int) -> list:
+    """Kernel charges of one column: an ``m x n`` QR and ``Q^T`` applied
+    to ``p`` columns, for a block stack of ``slices`` sequences."""
+    return [
+        (slices * qr_flops(m, n), slices * qr_bytes(m, n)),
+        (
+            slices * qr_apply_flops(m, min(m, n), p),
+            slices * qr_bytes(m, p),
+        ),
+    ]
+
+
+def _sumsq(x):
+    """Squared norm over the row axis."""
+    return get_namespace(x).sum(x * x, axis=-1)
+
+
+class _Level:
+    """One recursion level: its columns, coupling rows and stage outputs.
+
+    Positions index the level's columns; ``evos[t]`` couples column
+    ``t-1`` to column ``t`` (``evos[0]`` is ``None``).
+    """
+
+    def __init__(self, engine: "_Engine", columns, evos, index: int):
+        self.engine = engine
+        self.columns = columns
+        self.evos = evos
+        self.index = index
+        kk = len(columns) - 1
+        self.kk = kk
+        self.evens = list(range(0, kk + 1, 2))
+        self.odds = list(range(1, kk + 1, 2))
+        # Stage A outputs per even position: R~, its RHS, the fill X
+        # and the remnant D~ with its RHS (refs, or None).
+        self.rtil: dict = {}
+        self.rtil_rows: dict = {}
+        self.rtil_rhs: dict = {}
+        self.fill: dict = {}
+        self.dtil: dict = {}
+        self.dtil_rhs: dict = {}
+        self.dtil_rows: dict = {}
+        # Stage B outputs per even position: the permanent block row,
+        # next-level coupling rows, or extra observation rows for the
+        # left odd neighbour.
+        self.rows: dict = {}
+        self.new_evo: dict = {}
+        self.extra: dict = {}
+        # Squared RHS of annihilated rows per position (stage A's last
+        # even column, stage C's odd columns).
+        self.resid_a: dict = {}
+        self.resid_c: dict = {}
+
+    # -- Stage A -------------------------------------------------------
+    def stage_a(self) -> None:
+        cols, evos, e = self.columns, self.evos, self.engine
+        sig = {}
+        for p in self.evens:
+            col = cols[p]
+            if p + 1 <= self.kk:
+                evo = evos[p + 1]
+                sig[p] = (col.rows, col.n, evo.rows, cols[p + 1].n)
+            else:
+                sig[p] = (col.rows, col.n)
+        for key, members in group_by(self.evens, sig.get, e.slices):
+            if len(key) == 4:
+                self._a_coupled(members, *key)
+            else:
+                self._a_last(members, *key)
+
+        def cost(p):
+            key = sig[p]
+            if len(key) == 4:
+                mc, n, rows, n_right = key
+                return _qr_costs(e.slices, mc + rows, n, n_right + 1)
+            rows, n = key
+            return _qr_costs(e.slices, rows, n, 1) if rows else []
+
+        e.backend.record_costs(
+            self.evens, cost, phase=f"oddeven/L{self.index}/stageA"
+        )
+
+    def _a_coupled(self, members, mc, n, rows, n_right):
+        cols, evos, e = self.columns, self.evos, self.engine
+        xp = e.xp
+        c = gather([cols[p].c for p in members])
+        rhs_c = gather([cols[p].rhs for p in members])
+        nb = gather([evos[p + 1].nb for p in members])
+        d = gather([evos[p + 1].d for p in members])
+        rhs_e = gather([evos[p + 1].rhs for p in members])
+        lead = tuple(c.shape[:-2])
+        pivot = xp.concatenate([c, nb], axis=-2)
+        coupled = xp.concatenate(
+            [e.zeros(lead + (mc, n_right)), d], axis=-2
+        )
+        rhs = xp.concatenate([rhs_c, rhs_e], axis=-1)
+        applied_to = xp.concatenate([coupled, rhs[..., None]], axis=-1)
+        r, applied = stacked(_qr_apply, pivot, applied_to, tail=(2, 2))
+        ncap = min(n, mc + rows)
+        r_rhs = applied[..., :ncap, -1]
+        fill = applied[..., :ncap, :n_right]
+        dtil = applied[..., ncap:, :n_right]
+        dtil_rhs = applied[..., ncap:, -1]
+        for t, p in enumerate(members):
+            self.rtil[p] = (r, t)
+            self.rtil_rows[p] = ncap
+            self.rtil_rhs[p] = (r_rhs, t)
+            self.fill[p] = (fill, t)
+            self.dtil[p] = (dtil, t)
+            self.dtil_rhs[p] = (dtil_rhs, t)
+            self.dtil_rows[p] = mc + rows - ncap
+
+    def _a_last(self, members, rows, n):
+        """The last even column: only its observation rows take part."""
+        cols = self.columns
+        r, r_rhs, resid = self.engine.compress(
+            [[cols[p].c for p in members]],
+            [[cols[p].rhs for p in members]],
+            len(members),
+            rows,
+            n,
+        )
+        for t, p in enumerate(members):
+            self.rtil[p] = (r, t)
+            self.rtil_rows[p] = min(rows, n)
+            self.rtil_rhs[p] = (r_rhs, t)
+            if resid is not None:
+                self.resid_a[p] = resid[t]
+
+    # -- Stage B -------------------------------------------------------
+    def stage_b(self) -> None:
+        cols, evos, e = self.columns, self.evos, self.engine
+        sig = {}
+        for p in self.evens:
+            if p == 0:
+                continue
+            evo = evos[p]
+            right = cols[p + 1].n if p in self.fill else 0
+            sig[p] = (
+                evo.rows, self.rtil_rows[p], cols[p].n, cols[p - 1].n, right
             )
-        qf = qr_factor(col.c)
-        qtr = qf.apply_qt(col.rhs_c)
-        ncap = min(n, rows)
-        resid = _sumsq(qtr[..., ncap:])
-        return _StageA(qf.r, qtr[..., :ncap], None, None, None, resid)
-    n_right = evo_next.d.shape[-1]
-    pivot = _vcat(col.c, evo_next.nb)
-    coupled = _vcat(
-        _zeros_rows(col.c, col.c.shape[-2], n_right), evo_next.d
-    )
-    rhs = _cat_rhs(col.rhs_c, evo_next.rhs)
-    qf = qr_factor(pivot)
-    applied = qf.apply_qt(_with_rhs(coupled, rhs))
-    ncap = min(n, pivot.shape[-2])
-    return _StageA(
-        rtil=qf.r,
-        rhs=applied[..., :ncap, -1],
-        x=applied[..., :ncap, :n_right],
-        dtil=applied[..., ncap:, :n_right],
-        dtil_rhs=applied[..., ncap:, -1],
-        residual_sq=0.0,
-    )
+        self._first_row()
+        for key, members in group_by(self.evens[1:], sig.get, e.slices):
+            self._b_group(members, *key)
 
+        def cost(p):
+            if p == 0:
+                return []
+            d_rows, rt_rows, n, n_left, n_right = sig[p]
+            return _qr_costs(
+                e.slices, d_rows + rt_rows, n, n_left + n_right + 1
+            )
 
-def _stage_b(
-    col: _Column,
-    evo_here: _EvoRows | None,
-    sa: _StageA,
-    left: _Column | None,
-    right: _Column | None,
-    level_idx: int,
-) -> _StageB:
-    """Factor ``[D_i; R~_i]``; emit the permanent block row of ``R``."""
-    n = col.n
-    if evo_here is None:
-        # Column 0 of the level: R_0 = R~_0 with its Stage-A fill.
+        e.backend.record_costs(
+            self.evens, cost, phase=f"oddeven/L{self.index}/stageB"
+        )
+
+    def _first_row(self) -> None:
+        """Column 0 of the level: ``R_0 = R~_0`` with its Stage-A fill.
+
+        Its blocks are copied out of the Stage-A stack, which would
+        otherwise stay alive as long as the factor for one row's sake.
+        """
+        col = self.columns[0]
+
+        def own(ref: Ref):
+            base, index = ref
+            return self.engine.xp.copy(base[index])
+
         offdiag = []
-        if sa.x is not None and right is not None:
-            offdiag.append((right.orig, sa.x))
-        row = RBlockRow(
-            col=col.orig, diag=sa.rtil, offdiag=offdiag, rhs=sa.rhs,
-            level=level_idx,
+        if 0 in self.fill:
+            offdiag.append((self.columns[1].orig, own(self.fill[0])))
+        self.rows[0] = RBlockRow(
+            col=col.orig,
+            diag=own(self.rtil[0]),
+            offdiag=offdiag,
+            rhs=own(self.rtil_rhs[0]),
+            level=self.index,
         )
-        return _StageB(row=row, new_evo=None, extra_obs=None)
 
-    assert left is not None
-    n_left = left.n
-    d_rows = evo_here.d.shape[-2]
-    rt_rows = sa.rtil.shape[-2]
-    pivot = _vcat(evo_here.d, sa.rtil)
-    coupled_left = _vcat(evo_here.nb, _zeros_rows(sa.rtil, rt_rows, n_left))
-    pieces = [coupled_left]
-    if sa.x is not None:
-        assert right is not None
-        coupled_right = _vcat(
-            _zeros_rows(evo_here.d, d_rows, right.n), sa.x
+    def _b_group(self, members, d_rows, rt_rows, n, n_left, n_right):
+        cols, evos, e = self.columns, self.evos, self.engine
+        xp = e.xp
+        d = gather([evos[p].d for p in members])
+        rtil = gather([self.rtil[p] for p in members])
+        nb = gather([evos[p].nb for p in members])
+        rhs = xp.concatenate(
+            [
+                gather([evos[p].rhs for p in members]),
+                gather([self.rtil_rhs[p] for p in members]),
+            ],
+            axis=-1,
         )
-        pieces.append(coupled_right)
-    rhs = _cat_rhs(evo_here.rhs, sa.rhs)
-    qf = qr_factor(pivot)
-    applied = qf.apply_qt(
-        _with_rhs(get_namespace(*pieces).concatenate(pieces, axis=-1), rhs)
-    )
-    ncap = min(n, pivot.shape[-2])
-    offdiag = [(left.orig, applied[..., :ncap, :n_left])]
-    if sa.x is not None:
-        offdiag.append(
-            (right.orig, applied[..., :ncap, n_left : n_left + right.n])
+        lead = tuple(d.shape[:-2])
+        pivot = xp.concatenate([d, rtil], axis=-2)
+        pieces = [
+            xp.concatenate([nb, e.zeros(lead + (rt_rows, n_left))], axis=-2)
+        ]
+        if n_right:
+            fill = gather([self.fill[p] for p in members])
+            pieces.append(
+                xp.concatenate(
+                    [e.zeros(lead + (d_rows, n_right)), fill], axis=-2
+                )
+            )
+        pieces.append(rhs[..., None])
+        r, applied = stacked(
+            _qr_apply, pivot, xp.concatenate(pieces, axis=-1), tail=(2, 2)
         )
-    row = RBlockRow(
-        col=col.orig,
-        diag=qf.r,
-        offdiag=offdiag,
-        rhs=applied[..., :ncap, -1],
-        level=level_idx,
-    )
-    bottom_left = applied[..., ncap:, :n_left]
-    bottom_rhs = applied[..., ncap:, -1]
-    if sa.x is not None:
-        new_evo = _EvoRows(
-            nb=bottom_left,
-            d=applied[..., ncap:, n_left : n_left + right.n],
-            rhs=bottom_rhs,
+        ncap = min(n, d_rows + rt_rows)
+        split = n_left + n_right
+        top = applied[..., :ncap, :]
+        diags = list(r)
+        lefts = list(top[..., :n_left])
+        rights = list(top[..., n_left:split]) if n_right else None
+        r_rhs = list(top[..., -1])
+        for t, p in enumerate(members):
+            offdiag = [(cols[p - 1].orig, lefts[t])]
+            if n_right:
+                offdiag.append((cols[p + 1].orig, rights[t]))
+            self.rows[p] = RBlockRow(
+                col=cols[p].orig,
+                diag=diags[t],
+                offdiag=offdiag,
+                rhs=r_rhs[t],
+                level=self.index,
+            )
+        bottom_left = applied[..., ncap:, :n_left]
+        bottom_rhs = applied[..., ncap:, -1]
+        rows = d_rows + rt_rows - ncap
+        if n_right:
+            bottom_right = applied[..., ncap:, n_left:split]
+            for t, p in enumerate(members):
+                self.new_evo[p] = _EvoRows(
+                    rows,
+                    (bottom_left, t),
+                    (bottom_right, t),
+                    (bottom_rhs, t),
+                )
+        else:
+            # Last even column: the leftover rows touch only the left
+            # odd neighbour — they become extra observation rows on it.
+            for t, p in enumerate(members):
+                self.extra[p - 1] = (
+                    rows, (bottom_left, t), (bottom_rhs, t)
+                )
+
+    # -- Stage C -------------------------------------------------------
+    def stage_c(self) -> list[_Column]:
+        """Compress every odd column; returns the next level's columns."""
+        cols, e = self.columns, self.engine
+        sig = {}
+        for p in self.odds:
+            extra = self.extra.get(p)
+            sig[p] = (
+                self.dtil_rows.get(p - 1, 0),
+                cols[p].rows,
+                extra[0] if extra is not None else 0,
+                cols[p].n,
+            )
+        new: dict = {}
+        for key, members in group_by(self.odds, sig.get, e.slices):
+            self._c_group(members, *key, new)
+
+        def cost(p):
+            dt_rows, c_rows, x_rows, n = sig[p]
+            rows = dt_rows + c_rows + x_rows
+            return _qr_costs(e.slices, rows, n, 1) if rows else []
+
+        e.backend.record_costs(
+            self.odds, cost, phase=f"oddeven/L{self.index}/stageC"
         )
-        return _StageB(row=row, new_evo=new_evo, extra_obs=None)
-    # Last even column: the leftover rows touch only the left odd
-    # neighbour — they become extra observation rows on it.
-    return _StageB(
-        row=row, new_evo=None, extra_obs=(bottom_left, bottom_rhs)
-    )
+        return [new[p] for p in self.odds]
+
+    def _c_group(self, members, dt_rows, c_rows, x_rows, n, new):
+        cols = self.columns
+        blocks, rhs = [], []
+        if dt_rows:
+            blocks.append([self.dtil[p - 1] for p in members])
+            rhs.append([self.dtil_rhs[p - 1] for p in members])
+        if c_rows:
+            blocks.append([cols[p].c for p in members])
+            rhs.append([cols[p].rhs for p in members])
+        if x_rows:
+            blocks.append([self.extra[p][1] for p in members])
+            rhs.append([self.extra[p][2] for p in members])
+        rows = dt_rows + c_rows + x_rows
+        r, r_rhs, resid = self.engine.compress(
+            blocks, rhs, len(members), rows, n
+        )
+        for t, p in enumerate(members):
+            new[p] = _Column(
+                cols[p].orig, n, min(rows, n), (r, t), (r_rhs, t)
+            )
+            if resid is not None:
+                self.resid_c[p] = resid[t]
+
+    # -- transition ----------------------------------------------------
+    def next_evos(self, new_columns: list[_Column]) -> list:
+        evos: list = [None]
+        for t, p in enumerate(self.evens[1:], start=1):
+            if t >= len(new_columns):
+                break
+            evo = self.new_evo.get(p)
+            if evo is None:
+                evo = self.engine.empty_evo(
+                    new_columns[t - 1].n, new_columns[t].n
+                )
+            evos.append(evo)
+        return evos
 
 
-def _stage_c(
-    col: _Column,
-    dtil: tuple[np.ndarray, np.ndarray] | None,
-    extra: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[_Column, "float | np.ndarray"]:
-    """Compress ``[D~_j; C_j]`` (plus any boundary extras) into ``C~_j``."""
-    n = col.n
-    pieces: list[np.ndarray] = []
-    rhs_pieces: list[np.ndarray] = []
-    if dtil is not None and dtil[0].shape[-2] > 0:
-        pieces.append(dtil[0])
-        rhs_pieces.append(dtil[1])
-    if col.c.shape[-2] > 0:
-        pieces.append(col.c)
-        rhs_pieces.append(col.rhs_c)
-    if extra is not None and extra[0].shape[-2] > 0:
-        pieces.append(extra[0])
-        rhs_pieces.append(extra[1])
-    if not pieces:
-        return (
-            _Column(
-                col.orig,
-                n,
-                _zeros_rows(col.c, 0, n),
-                col.rhs_c[..., :0],
-            ),
-            0.0,
+class _Engine:
+    """State shared by the levels of one factorization."""
+
+    def __init__(self, white: WhitenedProblem, backend: Backend):
+        first = white.steps[0].C
+        self.xp = get_namespace(first)
+        self.dtype = first.dtype
+        self.batch_shape = tuple(first.shape[:-2])
+        #: sequences per block (1 for a single sequence)
+        self.slices = batch_count(self.batch_shape)
+        self.backend = backend
+        self.factor = OddEvenR(dims=[ws.n for ws in white.steps])
+
+    def zeros(self, shape: tuple):
+        return self.xp.zeros(shape, dtype=self.dtype)
+
+    def empty_evo(self, n_left: int, n_right: int) -> _EvoRows:
+        lead = (1,) + self.batch_shape
+        return _EvoRows(
+            0,
+            (self.zeros(lead + (0, n_left)), 0),
+            (self.zeros(lead + (0, n_right)), 0),
+            (self.zeros(lead + (0,)), 0),
         )
-    stacked = _vcat(*pieces)
-    rhs = _cat_rhs(*rhs_pieces)
-    rows = stacked.shape[-2]
-    if rows <= n:
-        # Already within the row-count invariant; QR would only rotate.
-        qf = qr_factor(stacked)
-        qtr = qf.apply_qt(rhs)
-        return _Column(col.orig, n, qf.r, qtr), 0.0
-    qf = qr_factor(stacked)
-    qtr = qf.apply_qt(rhs)
-    resid = _sumsq(qtr[..., n:])
-    return _Column(col.orig, n, qf.r, qtr[..., :n]), resid
+
+    def compress(self, blocks, rhs, members: int, rows: int, n: int):
+        """QR-compress the row pieces of ``members`` columns to at most
+        ``n`` rows each.
+
+        ``blocks``/``rhs`` list the pieces top to bottom, each a list
+        of one ref per column.  Returns the stacked triangular factors,
+        their transformed RHS and the per-column residual of the
+        annihilated rows (``None`` when no row is annihilated).  With
+        no rows at all nothing is factored.
+        """
+        xp = self.xp
+        if not rows:
+            lead = (members,) + self.batch_shape
+            return self.zeros(lead + (0, n)), self.zeros(lead + (0,)), None
+        pieces = [gather(b) for b in blocks]
+        rhs_pieces = [gather(b) for b in rhs]
+        stack = (
+            pieces[0]
+            if len(pieces) == 1
+            else xp.concatenate(pieces, axis=-2)
+        )
+        vec = (
+            rhs_pieces[0]
+            if len(rhs_pieces) == 1
+            else xp.concatenate(rhs_pieces, axis=-1)
+        )
+        r, qtr = stacked(_qr_apply, stack, vec[..., None], tail=(2, 2))
+        ncap = min(rows, n)
+        resid = _sumsq(qtr[..., ncap:, 0]) if rows > n else None
+        return r, qtr[..., :ncap, 0], resid
+
+
+def _level_zero(white: WhitenedProblem) -> tuple[list, list]:
+    """The whitened blocks as level-0 columns and coupling rows.
+
+    Each field is stacked once per block shape, so level 0 gathers its
+    groups as views; the stacks die with level 0.
+    """
+    steps, rest = white.steps, white.steps[1:]
+    c = by_shape([s.C for s in steps])
+    rhs_c = by_shape([s.rhs_C for s in steps])
+    nb = by_shape([s.B for s in rest], negate=True)
+    d = by_shape([s.D for s in rest])
+    rhs_e = by_shape([s.rhs_BD for s in rest])
+    columns = [
+        _Column(s.index, s.n, s.C.shape[-2], c[i], rhs_c[i])
+        for i, s in enumerate(steps)
+    ]
+    evos: list = [None] + [
+        _EvoRows(s.B.shape[-2], nb[i], d[i], rhs_e[i])
+        for i, s in enumerate(rest)
+    ]
+    return columns, evos
 
 
 def oddeven_factorize(
@@ -321,11 +510,12 @@ def oddeven_factorize(
         internally) or an already-whitened problem.  A whitened problem
         whose blocks carry a leading batch axis (``(B, rows, cols)``
         blocks, ``(B, rows)`` RHS — see :mod:`repro.batch`) factors all
-        ``B`` sequences at once through the stacked-QR kernels.
+        ``B`` sequences at once.
     backend:
-        Execution backend; each stage of each level is one
-        ``parallel_for`` over its even (or odd) columns.  Defaults to
-        the serial backend.
+        Receives each stage's per-column kernel costs (one
+        ``parallel_for`` phase per stage of each level); the stages
+        themselves run as stacked calls on the caller's thread.
+        Defaults to the serial backend.
 
     Returns
     -------
@@ -341,130 +531,50 @@ def oddeven_factorize(
         if isinstance(problem, StateSpaceProblem)
         else problem
     )
-    columns = [
-        _Column(orig=ws.index, n=ws.n, c=ws.C, rhs_c=ws.rhs_C)
-        for ws in white.steps
-    ]
-    batch_shape = columns[0].c.shape[:-2]
-    evos: list[_EvoRows | None] = [None]
-    for ws in white.steps[1:]:
-        evos.append(_EvoRows(nb=-ws.B, d=ws.D, rhs=ws.rhs_BD))
-
-    factor = OddEvenR(dims=[c.n for c in columns])
+    engine = _Engine(white, backend)
+    factor = engine.factor
+    columns, evos = _level_zero(white)
+    # One residual per sequence: a 0-d array for a single sequence.
+    residual = engine.zeros(engine.batch_shape)
     level_idx = 0
-    residual: "float | np.ndarray" = 0.0
-
     while len(columns) > 1:
-        kk = len(columns) - 1
-        evens = list(range(0, kk + 1, 2))
-        odds = list(range(1, kk + 1, 2))
-
-        sa_results = backend.map(
-            evens,
-            lambda e: _stage_a(
-                columns[e], evos[e + 1] if e + 1 <= kk else None
-            ),
-            phase=f"oddeven/L{level_idx}/stageA",
+        level = _Level(engine, columns, evos, level_idx)
+        level.stage_a()
+        level.stage_b()
+        new_columns = level.stage_c()
+        factor.levels.append([columns[p].orig for p in level.evens])
+        for p in level.evens:
+            factor.rows[columns[p].orig] = level.rows[p]
+        # Residuals add up per stage in column order, as the stages
+        # would have returned them one column at a time.
+        residual = residual + sum(
+            level.resid_a[p] for p in level.evens if p in level.resid_a
         )
-        sa_by_pos = dict(zip(evens, sa_results))
-        residual = residual + sum(sa.residual_sq for sa in sa_results)
-
-        sb_results = backend.map(
-            evens,
-            lambda e: _stage_b(
-                columns[e],
-                evos[e] if e > 0 else None,
-                sa_by_pos[e],
-                columns[e - 1] if e > 0 else None,
-                columns[e + 1] if e + 1 <= kk else None,
-                level_idx,
-            ),
-            phase=f"oddeven/L{level_idx}/stageB",
+        residual = residual + sum(
+            level.resid_c[p] for p in level.odds if p in level.resid_c
         )
-        sb_by_pos = dict(zip(evens, sb_results))
-
-        dtil_by_odd: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for e in evens:
-            sa = sa_by_pos[e]
-            if sa.dtil is not None:
-                dtil_by_odd[e + 1] = (sa.dtil, sa.dtil_rhs)
-        extra_by_odd: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for e in evens:
-            sb = sb_by_pos[e]
-            if sb.extra_obs is not None:
-                extra_by_odd[e - 1] = sb.extra_obs
-
-        sc_results = backend.map(
-            odds,
-            lambda o: _stage_c(
-                columns[o], dtil_by_odd.get(o), extra_by_odd.get(o)
-            ),
-            phase=f"oddeven/L{level_idx}/stageC",
-        )
-
-        factor.levels.append([columns[e].orig for e in evens])
-        for e in evens:
-            row = sb_by_pos[e].row
-            factor.rows[row.col] = row
-
-        new_columns = [c for c, _resid in sc_results]
-        residual = residual + sum(r for _c, r in sc_results)
-        new_evos: list[_EvoRows | None] = [None]
-        for t, e in enumerate(evens[1:], start=1):
-            evo = sb_by_pos[e].new_evo
-            if evo is None and t < len(new_columns):
-                evo = _EvoRows.empty(
-                    new_columns[t - 1].n,
-                    new_columns[t].n,
-                    batch_shape,
-                    dtype=new_columns[t].c.dtype,
-                    xp=get_namespace(new_columns[t].c),
-                )
-            if t < len(new_columns):
-                new_evos.append(evo)
+        evos = level.next_evos(new_columns)
         columns = new_columns
-        evos = new_evos
         level_idx += 1
 
     # Base case: a single remaining column.
     base = columns[0]
-
-    def _base_task(_i: int):
-        n = base.n
-        rows = base.c.shape[-2]
-        if rows == 0:
-            return (
-                RBlockRow(
-                    col=base.orig,
-                    diag=_zeros_rows(base.c, 0, n),
-                    offdiag=[],
-                    rhs=base.rhs_c[..., :0],
-                    level=level_idx,
-                ),
-                0.0,
-            )
-        qf = qr_factor(base.c)
-        qtr = qf.apply_qt(base.rhs_c)
-        ncap = min(n, rows)
-        resid = _sumsq(qtr[..., ncap:])
-        return (
-            RBlockRow(
-                col=base.orig,
-                diag=qf.r,
-                offdiag=[],
-                rhs=qtr[..., :ncap],
-                level=level_idx,
-            ),
-            resid,
-        )
-
-    base_results = backend.map(
-        [0], _base_task, phase=f"oddeven/L{level_idx}/base"
+    r, r_rhs, resid = engine.compress(
+        [[base.c]], [[base.rhs]], 1, base.rows, base.n
     )
-    row, resid = base_results[0]
-    factor.rows[row.col] = row
-    factor.levels.append([row.col])
-    residual = residual + resid
+    factor.rows[base.orig] = RBlockRow(
+        col=base.orig, diag=r[0], offdiag=[], rhs=r_rhs[0], level=level_idx
+    )
+    backend.record_costs(
+        [0],
+        lambda _p: _qr_costs(engine.slices, base.rows, base.n, 1)
+        if base.rows
+        else [],
+        phase=f"oddeven/L{level_idx}/base",
+    )
+    factor.levels.append([base.orig])
+    if resid is not None:
+        residual = residual + resid[0]
     factor.residual_sq = (
         float(residual) if np.ndim(residual) == 0 else residual
     )

@@ -18,8 +18,9 @@ in ``R``.
   ``j = k-1 .. 0`` over a Paige–Saunders bidiagonal factor, where
   ``I = {j+1}``.
 * :func:`selinv_oddeven` — Algorithm 2: recursion-ordered processing
-  of the odd-even factor; all even columns of a level run in parallel
-  because their ``I`` sets reference only columns of deeper levels.
+  of the odd-even factor; all even columns of a level are independent
+  because their ``I`` sets reference only columns of deeper levels, so
+  each level runs as stacked calls over its columns.
   ``|I| <= 2``, and the cross block ``S_{a,b}`` needed when
   ``I = {a, b}`` corresponds to consecutive columns of the next level,
   hence to an ``R``-nonzero computed by the deeper recursion — the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..linalg.flops import matmul_bytes, matmul_flops, trsm_bytes, trsm_flops
 from ..linalg.triangular import (
     instrumented_matmul,
     mat_transpose as _t,
@@ -39,7 +41,8 @@ from ..linalg.triangular import (
 from ..linalg.xp import get_namespace
 from ..parallel.backend import Backend, SerialBackend
 from .rfactor import BidiagonalR, OddEvenR
-from .solve import square_diag
+from .solve import _slices, level_diagonals
+from .stacked import gather, stack, stacked
 
 __all__ = ["selinv_bidiagonal", "selinv_oddeven", "SelInvResult"]
 
@@ -110,20 +113,53 @@ def selinv_bidiagonal(factor: BidiagonalR) -> SelInvResult:
     return SelInvResult([s for s in diag_s], cross)  # type: ignore[arg-type]
 
 
+def _selinv_step(diag, r_ji, s_ii):
+    """Algorithm 2's update for one stack of rows with couplings."""
+    base = _diag_inverse_product(diag)
+    nj = solve_upper(diag, r_ji)
+    s_ji = -instrumented_matmul(nj, s_ii)
+    s_jj = base - instrumented_matmul(s_ji, _t(nj))
+    return s_jj, s_ji
+
+
+def _selinv_costs(slices: int, n: int, k: int) -> list:
+    """Per-column charges: ``R_jj^{-1} R_jj^{-T}``, plus ``N_j`` and the
+    two products when the row has couplings (``k`` coupled columns)."""
+    costs = []
+    if n:
+        costs.append((slices * trsm_flops(n, n), slices * trsm_bytes(n, n)))
+    costs.append(
+        (slices * matmul_flops(n, n, n), slices * matmul_bytes(n, n, n))
+    )
+    if k:
+        if n:
+            costs.append(
+                (slices * trsm_flops(n, k), slices * trsm_bytes(n, k))
+            )
+        costs.append(
+            (slices * matmul_flops(n, k, k), slices * matmul_bytes(n, k, k))
+        )
+        costs.append(
+            (slices * matmul_flops(n, k, n), slices * matmul_bytes(n, k, n))
+        )
+    return costs
+
+
 def selinv_oddeven(
     factor: OddEvenR, backend: Backend | None = None
 ) -> SelInvResult:
     """Algorithm 2: parallel selected inversion of the odd-even ``R``.
 
     Levels are processed deepest-first (the recursion's "odd columns
-    first"); within a level, every column is independent and runs under
-    one ``parallel_for``.  For a batched factor (see
-    :mod:`repro.batch`) every covariance block is a ``(B, n, n)`` stack
-    and the triangular work runs batched over the ``B`` sequences.
+    first"); within a level every column is independent, so the level
+    groups its columns by row shape and runs each group as stacked
+    calls (:mod:`repro.core.stacked`).  For a batched factor (see
+    :mod:`repro.batch`) every covariance block is a ``(B, n, n)``
+    stack.  ``backend`` receives each level's per-column kernel costs.
     """
     if backend is None:
         backend = SerialBackend()
-    diag_s: dict[int, np.ndarray] = {}
+    diag_s: dict = {}
     cross: dict[tuple[int, int], np.ndarray] = {}
 
     def get_cross(a: int, b: int) -> np.ndarray:
@@ -132,58 +168,70 @@ def selinv_oddeven(
             return cross[(a, b)]
         return _t(cross[(b, a)])
 
-    def process(col: int):
-        row = factor.rows[col]
-        diag = square_diag(row)
-        base = _diag_inverse_product(diag)
-        if not row.offdiag:
-            return col, base, []
-        i_cols = [c for c, _b in row.offdiag]
-        xp = get_namespace(diag, base)
-        r_ji = xp.concatenate(
-            [b[..., : row.n, :] for _c, b in row.offdiag], axis=-1
-        )
-        nj = solve_upper(diag, r_ji)
-        # Assemble S_II from previously-computed deeper-level blocks.
-        # Built by concatenation (not setitem into a zeros workspace) so
-        # the same code serves immutable array backends; the values are
-        # identical either way.
-        sizes = [factor.dims[c] for c in i_cols]
-        offs = np.concatenate([[0], np.cumsum(sizes)])
-        block_rows = []
-        for a_idx, a in enumerate(i_cols):
-            block_rows.append(
-                xp.concatenate(
+    slices = _slices(factor)
+    for level_idx in reversed(range(len(factor.levels))):
+        cols = factor.levels[level_idx]
+        for members, diag in level_diagonals(factor, cols):
+            rows = [factor.rows[c] for c in members]
+            n = rows[0].n
+            xp = get_namespace(diag)
+            i_cols = [row.offdiag_cols() for row in rows]
+            couplings = len(i_cols[0])
+            if not couplings:
+                s_jj = stacked(_diag_inverse_product, diag, tail=(2,))
+            else:
+                r_ji = xp.concatenate(
                     [
-                        diag_s[a] if a_idx == b_idx else get_cross(a, b)
-                        for b_idx, b in enumerate(i_cols)
+                        stack(
+                            [row.offdiag[j][1][..., :n, :] for row in rows]
+                        )
+                        for j in range(couplings)
                     ],
                     axis=-1,
                 )
-            )
-        s_ii = xp.concatenate(block_rows, axis=-2)
-        s_ji = -instrumented_matmul(nj, s_ii)
-        s_jj = base - instrumented_matmul(s_ji, _t(nj))
-        crosses = []
-        for idx, c in enumerate(i_cols):
-            block = s_ji[..., offs[idx] : offs[idx + 1]]
-            crosses.append((c, block))
-        return col, s_jj, crosses
-
-    for level_idx in reversed(range(len(factor.levels))):
-        cols = factor.levels[level_idx]
-        results = backend.map(
-            cols, process, phase=f"oddeven/selinv/L{level_idx}"
-        )
-        for col, s_jj, crosses in results:
+                # Assemble S_II from previously-computed deeper-level
+                # blocks: S_aa, and with two couplings also S_ab, S_ba
+                # and S_bb.
+                s_ii = gather([diag_s[i[0]] for i in i_cols])
+                if couplings == 2:
+                    s_ab = stack([get_cross(a, b) for a, b in i_cols])
+                    s_bb = gather([diag_s[i[1]] for i in i_cols])
+                    s_ii = xp.concatenate(
+                        [
+                            xp.concatenate([s_ii, s_ab], axis=-1),
+                            xp.concatenate([_t(s_ab), s_bb], axis=-1),
+                        ],
+                        axis=-2,
+                    )
+                s_jj, s_ji = stacked(
+                    _selinv_step, diag, r_ji, s_ii, tail=(2, 2, 2)
+                )
+                lo = 0
+                for j in range(couplings):
+                    hi = lo + factor.dims[i_cols[0][j]]
+                    block = s_ji[..., lo:hi]
+                    blocks, flipped = list(block), list(_t(block))
+                    for t, c in enumerate(members):
+                        other = i_cols[t][j]
+                        if c <= other:
+                            cross[(c, other)] = blocks[t]
+                        else:
+                            cross[(other, c)] = flipped[t]
+                    lo = hi
             # Symmetrize: roundoff accumulates asymmetrically through
             # the two matrix products.
-            diag_s[col] = 0.5 * (s_jj + _t(s_jj))
-            for other, block in crosses:
-                if col <= other:
-                    cross[(col, other)] = block
-                else:
-                    cross[(other, col)] = _t(block)
+            sym = 0.5 * (s_jj + _t(s_jj))
+            for t, c in enumerate(members):
+                diag_s[c] = (sym, t)
+        backend.record_costs(
+            cols,
+            lambda c: _selinv_costs(
+                slices,
+                factor.rows[c].n,
+                sum(factor.dims[o] for o in factor.rows[c].offdiag_cols()),
+            ),
+            phase=f"oddeven/selinv/L{level_idx}",
+        )
 
-    ordered = [diag_s[i] for i in range(len(factor.dims))]
+    ordered = [base[t] for base, t in map(diag_s.get, range(len(factor.dims)))]
     return SelInvResult(ordered, cross)

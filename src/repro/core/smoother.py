@@ -20,6 +20,8 @@ the covariance switch) arrive through one
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..api import Capabilities, EstimatorConfig, SmootherBase
 from ..kalman.result import SmootherResult
 from ..model.problem import StateSpaceProblem
@@ -30,6 +32,32 @@ from .selinv import selinv_oddeven
 from .solve import oddeven_back_substitute
 
 __all__ = ["OddEvenSmoother"]
+
+
+def reject_nonfinite(
+    problems: list[StateSpaceProblem],
+    cause: BaseException | None,
+    *,
+    indices: list[int] | None = None,
+) -> None:
+    """Raise ``ValueError`` naming the first problem with non-finite data.
+
+    ``indices`` are the problems' positions in a ``smooth_many``
+    workload; given, the message leads with the culprit's index.
+    Returns quietly when every problem is finite.
+    """
+    for pos, problem in enumerate(problems):
+        culprit = problem.nonfinite_field()
+        if culprit is None:
+            continue
+        where = (
+            ""
+            if indices is None
+            else f"problem index {indices[pos]} of the smooth_many workload: "
+        )
+        raise ValueError(
+            f"{where}{culprit}; the odd-even smoother needs finite data"
+        ) from cause
 
 
 class OddEvenSmoother(SmootherBase):
@@ -47,7 +75,10 @@ class OddEvenSmoother(SmootherBase):
     Functional notes (paper §6, mirrored by :attr:`capabilities`): no
     prior on the initial state is required; rectangular ``H_i`` are
     supported; the noise covariances ``K_i``/``L_i`` must be
-    nonsingular (they are whitened by Cholesky).
+    nonsingular (they are whitened by Cholesky).  A NaN or infinite
+    value in ``F``, ``H``, ``c``, ``G``, ``o`` or the prior mean raises
+    ``ValueError`` naming its step and field (found by a scan that runs
+    only once the solve has produced a non-finite value).
     """
 
     name = "odd-even"
@@ -74,11 +105,19 @@ class OddEvenSmoother(SmootherBase):
         """Estimate all states (and covariances) of ``problem``."""
         backend = config.backend
         want_cov = config.compute_covariance
-        factor = oddeven_factorize(problem, backend)
-        means = oddeven_back_substitute(factor, backend)
-        covariances = None
-        if want_cov:
-            covariances = list(selinv_oddeven(factor, backend).diagonal)
+        try:
+            factor = oddeven_factorize(problem, backend)
+            means = oddeven_back_substitute(factor, backend)
+            covariances = None
+            if want_cov:
+                covariances = list(selinv_oddeven(factor, backend).diagonal)
+        except np.linalg.LinAlgError as exc:
+            # A singular or non-finite diagonal, or a non-finite state,
+            # is often non-finite input: name it instead.
+            reject_nonfinite([problem], exc)
+            raise
+        if not np.isfinite(factor.residual_sq):
+            reject_nonfinite([problem], None)
         return SmootherResult(
             means=means,
             covariances=covariances,

@@ -264,8 +264,14 @@ class BatchedQRFactor:
 
     @property
     def r(self) -> np.ndarray:
-        """Stacked triangular factors, ``(B, min(m, n), n)``."""
-        return self._xp.triu(self._r[:, : self._nref, :])
+        """Stacked triangular factors, ``(B, min(m, n), n)``.
+
+        Both factoring methods already store exact zeros below the
+        diagonal, so a copy of the leading rows replaces a ``triu``
+        pass (and keeps the full ``(B, m, n)`` array from staying
+        alive behind the result).
+        """
+        return self._xp.copy(self._r[:, : self._nref, :])
 
     def r_square(self) -> np.ndarray:
         """The leading ``(B, n, n)`` triangular factors; needs ``m >= n``."""

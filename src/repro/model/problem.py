@@ -148,6 +148,33 @@ class StateSpaceProblem:
     def observation_count(self) -> int:
         return sum(1 for s in self.steps if s.observation is not None)
 
+    def nonfinite_field(self) -> str | None:
+        """Name the first NaN or infinite value of the problem's data.
+
+        Scans the prior mean, then each step's evolution ``F``, ``H``,
+        ``c`` and observation ``G``, ``o``, and returns e.g. ``"step 6
+        has a non-finite observation o"``, or ``None`` when all are
+        finite.  Smoothers call it only after a non-finite result, so a
+        healthy solve never pays for the scan.
+        """
+        if self.prior is not None and not np.isfinite(self.prior.mean).all():
+            return "the prior has a non-finite mean"
+        for i, step in enumerate(self.steps):
+            evo, obs = step.evolution, step.observation
+            fields = []
+            if evo is not None:
+                fields += [
+                    ("evolution F", evo.F),
+                    ("evolution H", evo.H),
+                    ("evolution c", evo.c),
+                ]
+            if obs is not None:
+                fields += [("observation G", obs.G), ("observation o", obs.o)]
+            for name, value in fields:
+                if not np.isfinite(value).all():
+                    return f"step {i} has a non-finite {name}"
+        return None
+
     # ------------------------------------------------------------------
     # whitening
     # ------------------------------------------------------------------

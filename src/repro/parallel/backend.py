@@ -13,7 +13,9 @@ parallel algorithm in which those calls are replaced by plain C loops
     Real shared-memory threads (``concurrent.futures``).  NumPy/LAPACK
     kernels release the GIL, so on a multicore host this scales for
     large block dimensions; on the single-core CI host it is exercised
-    for correctness only.
+    for correctness only.  The odd-even engine does not fan out over
+    it: each of its stages runs as stacked kernel calls on the
+    caller's thread (see :mod:`repro.core.stacked`).
 
 ``RecordingBackend``
     Runs the computation numerically *once* while recording a
@@ -21,6 +23,9 @@ parallel algorithm in which those calls are replaced by plain C loops
     flop/byte costs; the discrete-event scheduler then replays the
     graph on a modeled server with any number of cores.  This is the
     substitution for the paper's 36-64 core servers (see DESIGN.md §2).
+    Work that ran as stacked calls reports its per-item costs through
+    :meth:`Backend.record_costs`, so the graph keeps one task per block
+    of items either way.
 
 All backends share the blocking semantics of TBB: a ``parallel_for``
 over ``n`` items with block size ``b`` creates ``ceil(n / b)`` tasks of
@@ -88,6 +93,21 @@ class Backend:
     ) -> list[Any]:
         """Apply ``body`` to every item; order of results matches items."""
         raise NotImplementedError
+
+    def record_costs(
+        self,
+        items: Sequence[Any],
+        cost: Callable[[Any], list[tuple[float, float]]],
+        *,
+        phase: str = "",
+    ) -> None:
+        """Account for a ``parallel_for`` the caller already ran stacked.
+
+        ``cost(item)`` lists the ``(flops, bytes)`` of every kernel call
+        that item would make on its own, in call order.  Only the
+        recording backend keeps them; executing backends ignore the
+        call (``cost`` is never evaluated).
+        """
 
     def parallel_for(
         self,
@@ -262,6 +282,23 @@ class RecordingBackend(Backend):
                 )
             )
         return results
+
+    def record_costs(self, items, cost, *, phase=""):
+        items = list(items)
+        record = self.graph.new_phase(phase or "parallel_for")
+        for block in blocked_ranges(len(items), self.block_size):
+            tally = CostTally()
+            for i in block:
+                for flops, bytes_moved in cost(items[i]):
+                    tally.add(flops, bytes_moved)
+            record.tasks.append(
+                TaskRecord(
+                    flops=tally.flops,
+                    bytes_moved=tally.bytes_moved,
+                    kernel_calls=tally.kernel_calls,
+                    items=len(block),
+                )
+            )
 
     def serial_for(self, n_items, body, *, phase=""):
         record = self.graph.new_phase(phase or "serial_for", kind="serial")

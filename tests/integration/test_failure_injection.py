@@ -213,12 +213,75 @@ class TestUnobservableWindows:
 
 
 class TestNaNPropagationGuard:
+    """Non-finite data fails by step and field, never as NaN estimates.
+
+    ``odd-even`` and ``batch-odd-even`` used to return all-NaN means for
+    a NaN observation or control, and to blame a NaN or infinite matrix
+    entry on a singular ``R`` block of another step.
+    """
+
     def test_nan_observation_caught_at_solve(self):
         p = random_problem(k=3, seed=5, dims=2)
         p.steps[1].observation.o[0] = np.nan
-        result = OddEvenSmoother(compute_covariance=False)
-        with pytest.raises(np.linalg.LinAlgError):
-            # NaNs corrupt the factor; the triangular check fires.
-            res = result.smooth(p)
-            if not all(np.isfinite(m).all() for m in res.means):
-                raise np.linalg.LinAlgError("non-finite output")
+        smoother = OddEvenSmoother(compute_covariance=False)
+        with pytest.raises(ValueError, match="step 1 has a non-finite observation o"):
+            smoother.smooth(p)
+
+    CASES = {
+        "observation o": lambda p: p.steps[6].observation.o.__setitem__(0, np.nan),
+        "observation G": lambda p: p.steps[6].observation.G.__setitem__((0, 0), np.inf),
+        "evolution F": lambda p: p.steps[6].evolution.F.__setitem__((1, 1), np.nan),
+        "evolution H": lambda p: p.steps[6].evolution.H.__setitem__((2, 0), -np.inf),
+        "evolution c": lambda p: p.steps[6].evolution.c.__setitem__(0, np.nan),
+    }
+
+    @staticmethod
+    def poisoned(field):
+        p = random_problem(k=12, seed=5, dims=3, random_cov=True)
+        TestNaNPropagationGuard.CASES[field](p)
+        return p
+
+    @pytest.mark.parametrize("covariance", [True, False])
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_odd_even_names_step_and_field(self, field, covariance):
+        smoother = OddEvenSmoother(compute_covariance=covariance)
+        with pytest.raises(ValueError, match=f"step 6 has a non-finite {field}"):
+            smoother.smooth(self.poisoned(field))
+
+    @pytest.mark.parametrize("dtype", [None, "mixed"])
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_smooth_many_names_problem_step_and_field(self, field, dtype):
+        from repro.api import EstimatorConfig
+        from repro.batch import BatchSmoother
+
+        fleet = [
+            random_problem(12, seed=s, dims=3, random_cov=True)
+            for s in (1, 2)
+        ]
+        fleet.insert(1, self.poisoned(field))
+        with pytest.raises(
+            ValueError,
+            match=rf"problem index 1 .*step 6 has a non-finite {field}",
+        ):
+            BatchSmoother().smooth_many(
+                fleet, config=EstimatorConfig(dtype=dtype)
+            )
+
+    def test_prior_mean(self):
+        p = random_problem(k=5, seed=3, dims=2)
+        p.prior.mean[1] = np.nan
+        with pytest.raises(ValueError, match="prior has a non-finite mean"):
+            OddEvenSmoother().smooth(p)
+
+    def test_healthy_problem_scans_nothing(self, monkeypatch):
+        """The step scan runs only after a non-finite result."""
+        p = random_problem(k=9, seed=4, dims=2, random_cov=True)
+
+        def fail(_self):
+            raise AssertionError("scanned a healthy problem")
+
+        monkeypatch.setattr(StateSpaceProblem, "nonfinite_field", fail)
+        OddEvenSmoother().smooth(p)
+        from repro.batch import BatchSmoother
+
+        BatchSmoother().smooth_many([p, p])
