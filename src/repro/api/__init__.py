@@ -7,8 +7,8 @@ value of one flexible front-end over that machinery (Toledo 2022).
 This package is that front-end for the whole repository:
 
 * :class:`EstimatorConfig` — one frozen value for execution options
-  (``backend``, ``compute_covariance``, ``dtype``, ``pad``) with a
-  single resolution path;
+  (``backend``, ``compute_covariance``, ``dtype``, ``plan_cache``,
+  ``array_module``) with a single resolution path;
 * :class:`Smoother` / :class:`SmootherBase` — the protocol and ABC
   giving every algorithm the one ``smooth`` / ``smooth_many``
   surface;

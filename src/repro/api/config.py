@@ -1,10 +1,10 @@
 """The one configuration object shared by every estimator.
 
 Before :mod:`repro.api` existed, execution options were scattered:
-``backend`` was a per-call kwarg on some smoothers, ``compute_covariance``
-lived both in constructors and in call-site overrides, and the batched
-subsystem grew its own ``pad`` knob.  :class:`EstimatorConfig` collects
-them in one immutable value with explicit merge semantics:
+``backend`` was a per-call kwarg on some smoothers, and
+``compute_covariance`` lived both in constructors and in call-site
+overrides.  :class:`EstimatorConfig` collects them in one immutable
+value with explicit merge semantics:
 
 * an **unset** field is ``None`` and defers to the next layer;
 * :meth:`merged` lets a call-site config override an instance default;
@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..parallel.backend import Backend, SerialBackend
+
+if TYPE_CHECKING:
+    from ..batch.plan import PlanCache
 
 __all__ = ["EstimatorConfig", "ServingConfig"]
 
@@ -54,16 +57,13 @@ class EstimatorConfig:
         solve runs in float64, the historical behavior).  Per-sequence
         smoothers honor ``dtype`` as an output cast.  Unset leaves the
         float64 arrays untouched.
-    pad:
-        Batched smoothers only: pad sequences to power-of-two lengths
-        so mixed-length workloads share buckets.  Unset means on.
     plan_cache:
         Batched smoothers only: the
-        :class:`~repro.batch.plan.PlanCache` that memoizes compiled
-        structure plans (bucketing, padding, stacked-block layouts)
-        across ``smooth_many`` calls.  Unset means the process-wide
-        :func:`~repro.batch.plan.default_plan_cache`; pass ``False``
-        to disable plan caching for this call.
+        :class:`~repro.batch.plan.PlanCache` that memoizes bucketing
+        plans across ``smooth_many`` calls.  Unset means the
+        process-wide :func:`~repro.batch.plan.default_plan_cache`;
+        :meth:`resolve` rejects anything but a ``PlanCache`` with
+        ``TypeError``.
     array_module:
         Array backend the stacked kernels run on: a backend name
         (``"numpy"``, ``"torch"``, or the test-oriented ``"mirror"``),
@@ -80,8 +80,7 @@ class EstimatorConfig:
     backend: Backend | None = None
     compute_covariance: bool | None = None
     dtype: Any = None
-    pad: bool | None = None
-    plan_cache: Any = None
+    plan_cache: PlanCache | None = None
     array_module: Any = None
 
     @property
@@ -147,21 +146,24 @@ class EstimatorConfig:
         Layers ``self`` over ``defaults`` (an estimator's instance
         configuration), then applies the global defaults — a fresh
         :class:`~repro.parallel.backend.SerialBackend`, covariances per
-        ``default_compute_covariance``, padding on, the process-wide
-        plan cache.  The result has no ``None`` fields except
-        ``dtype`` (whose default *is* "leave the float64 arrays
-        alone").
+        ``default_compute_covariance``, the process-wide plan cache.
+        The result has no ``None`` fields except ``dtype`` (whose
+        default *is* "leave the float64 arrays alone").
         """
-        merged = defaults.merged(self) if defaults is not None else self
-        if merged.plan_cache is None:
-            # Imported lazily: repro.batch imports repro.api at module
-            # load, so a top-level import here would be circular.
-            from ..batch.plan import default_plan_cache
-
-            plan_cache = default_plan_cache()
-        else:
-            plan_cache = merged.plan_cache
+        # Imported lazily: repro.batch imports repro.api at module
+        # load, so a top-level import here would be circular.
+        from ..batch.plan import PlanCache, default_plan_cache
         from ..linalg.xp import get_backend
+
+        merged = defaults.merged(self) if defaults is not None else self
+        plan_cache = merged.plan_cache
+        if plan_cache is None:
+            plan_cache = default_plan_cache()
+        elif not isinstance(plan_cache, PlanCache):
+            raise TypeError(
+                "plan_cache must be a PlanCache or unset, got "
+                f"{plan_cache!r}"
+            )
 
         return EstimatorConfig(
             backend=(
@@ -173,7 +175,6 @@ class EstimatorConfig:
                 else merged.compute_covariance
             ),
             dtype=merged.dtype,
-            pad=True if merged.pad is None else merged.pad,
             plan_cache=plan_cache,
             array_module=get_backend(merged.array_module),
         )

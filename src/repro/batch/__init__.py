@@ -38,7 +38,9 @@ states' means, covariances, and residual are unchanged up to roundoff
 (the elimination tree shifts, so individual rotations differ; see
 :func:`repro.batch.stacking.pad_problem`).  Sequences whose padded
 block structure still differs land in separate buckets; each bucket is
-smoothed as one stack.
+smoothed as one stack.  The bucketing decisions of a workload
+structure are cached as a :class:`~repro.batch.plan.SmoothPlan` (see
+:mod:`repro.batch.plan`); a plan records bucket membership only.
 
 Entry point::
 
@@ -48,7 +50,6 @@ Entry point::
 """
 
 from .plan import (
-    BucketPlan,
     PlanCache,
     SmoothPlan,
     build_plan,
@@ -58,9 +59,7 @@ from .plan import (
 from .smoother import BatchSmoother
 from .stacking import (
     Bucket,
-    BucketLayout,
     bucket_problems,
-    build_bucket_layout,
     pad_problem,
     padded_length,
     stack_whitened,
@@ -70,12 +69,9 @@ from .stacking import (
 __all__ = [
     "BatchSmoother",
     "Bucket",
-    "BucketLayout",
-    "BucketPlan",
     "PlanCache",
     "SmoothPlan",
     "bucket_problems",
-    "build_bucket_layout",
     "build_plan",
     "default_plan_cache",
     "pad_problem",

@@ -15,12 +15,13 @@ replay.
 
 Two serving optimizations layer on top of the stacked kernels:
 
-* **Plan caching** — the structure-only preamble (signatures, bucket
-  grouping, padding, workspace allocation) is compiled once per
-  workload structure into a :class:`~repro.batch.plan.SmoothPlan` and
-  replayed from the :class:`~repro.batch.plan.PlanCache` threaded
-  through :class:`~repro.api.EstimatorConfig`.  Replays are exact:
-  planned and unplanned results agree bit for bit.
+* **Plan caching** — the bucketing decisions (signatures, bucket
+  membership, padded lengths) are recorded once per workload
+  structure as a :class:`~repro.batch.plan.SmoothPlan` and replayed
+  from the :class:`~repro.batch.plan.PlanCache` threaded through
+  :class:`~repro.api.EstimatorConfig`.  A plan holds no arrays:
+  members are padded and stacked on every call, so a replay computes
+  exactly what a fresh plan does.
 * **Mixed precision** — ``EstimatorConfig(dtype=np.float32)`` (or
   ``dtype="mixed"`` for float64 outputs) runs the factorization and
   solves in float32 and recovers float64-level means with
@@ -43,7 +44,6 @@ overrides ``smooth_many`` with the stacked kernels (capability flag
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -65,9 +65,12 @@ from ..model.problem import (
 from ..parallel.backend import Backend
 from .associative import batched_associative_smooth
 from .plan import build_plan, workload_key
-from .stacking import BucketLayout, bucket_problems, pad_problem, stack_whitened
+from .stacking import Bucket, stack_whitened
 
 __all__ = ["BatchSmoother"]
+
+#: how non-finite-input errors of the associative method name it
+_ASSOCIATIVE = "the batched associative smoother"
 
 
 def _cast_white(white: WhitenedProblem, dtype) -> WhitenedProblem:
@@ -94,9 +97,8 @@ def _white_to_backend(
 ) -> WhitenedProblem:
     """Move a host-stacked whitened problem onto an array backend.
 
-    Used when stacking happened in numpy (no compiled layout because
-    plan caching is disabled) but the factorization should run on the
-    selected backend.
+    Stacking always runs in numpy; each bucket crosses to the selected
+    backend once, here, before the factorization.
     """
     conv = array_backend.from_numpy
     steps = []
@@ -212,13 +214,8 @@ class BatchSmoother(SmootherBase):
         ``False`` skips the SelInv phase of the odd-even method
         (means-only, the NC variant).  The associative method carries
         covariances intrinsically, so it rejects ``False`` with a
-        ``ValueError``.
-    pad:
-        Pad sequences with unobserved steps to power-of-two lengths so
-        mixed-length workloads share buckets (exact — see
-        :mod:`repro.batch.stacking`).  ``False`` buckets only
-        structurally-identical problems.  A per-call
-        :class:`~repro.api.EstimatorConfig` overrides either option.
+        ``ValueError``.  A per-call
+        :class:`~repro.api.EstimatorConfig` overrides it.
     refine_steps:
         Number of float64 iterative-refinement sweeps applied after a
         float32 solve (``EstimatorConfig.dtype`` of ``numpy.float32``
@@ -229,29 +226,29 @@ class BatchSmoother(SmootherBase):
 
     Notes
     -----
-    Results match the per-sequence smoothers slice for slice (the
-    integration tests pin this at ``1e-8``); the win is throughput —
-    every recursion level's thousands of tiny QR/solve calls collapse
-    into a few stacked LAPACK calls (see ``repro.bench.batch``).
+    Sequences are padded with unobserved steps to power-of-two length
+    buckets so mixed-length workloads share stacks (exact — see
+    :mod:`repro.batch.stacking`).  Results match the per-sequence
+    smoothers slice for slice (the integration tests pin this at
+    ``1e-8``); the win is throughput — every recursion level's
+    thousands of tiny QR/solve calls collapse into a few stacked
+    LAPACK calls (see ``repro.bench.batch``).
 
     After each ``smooth_many`` the instance exposes
     :attr:`last_diagnostics`: plan-cache outcome (hit/miss + cache
     counters) and per-phase wall-clock timings (``plan``, ``stack``,
-    ``factorize``, ``solve``, ``refine``, ``selinv``, ``scan``) — the
-    observability hook the plan-cache bench records to
-    ``results/plan_cache.json``.  The same signals accumulate in the
-    process :mod:`repro.obs` registry (``repro_batch_phase_seconds``
-    histograms per phase, call/sequence counters,
-    ``repro_plan_workspace_bytes``) for the JSON and Prometheus
-    exporters; swap in a :class:`~repro.obs.NullRegistry` to switch
-    that off (``bench/batch.py --obs`` measures the overhead).
+    ``factorize``, ``solve``, ``refine``, ``selinv``, ``scan``).  The
+    same signals accumulate in the process :mod:`repro.obs` registry
+    (``repro_batch_phase_seconds`` histograms per phase, call/sequence
+    counters) for the JSON and Prometheus exporters; swap in a
+    :class:`~repro.obs.NullRegistry` to switch that off
+    (``bench/batch.py --obs`` measures the overhead).
     """
 
     def __init__(
         self,
         method: str = "odd-even",
         compute_covariance: bool = True,
-        pad: bool = True,
         refine_steps: int = 1,
     ):
         if method not in ("odd-even", "associative"):
@@ -265,7 +262,6 @@ class BatchSmoother(SmootherBase):
             )
         self.method = method
         self.compute_covariance = compute_covariance
-        self.pad = pad
         self.refine_steps = int(refine_steps)
         self.name = f"batch-{method}"
         #: diagnostics of the most recent ``smooth_many`` call
@@ -285,9 +281,7 @@ class BatchSmoother(SmootherBase):
 
     @property
     def default_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            compute_covariance=self.compute_covariance, pad=self.pad
-        )
+        return EstimatorConfig(compute_covariance=self.compute_covariance)
 
     def smooth_many(
         self,
@@ -328,7 +322,7 @@ class BatchSmoother(SmootherBase):
         backend_name = getattr(ab, "name", "numpy") if ab is not None else "numpy"
         diag: dict = {
             "workload": len(problems),
-            "plan_cache": {"enabled": False, "hit": None},
+            "plan_cache": {"hit": None},
             "array_backend": backend_name,
             "phases": phases,
         }
@@ -337,96 +331,38 @@ class BatchSmoother(SmootherBase):
             return []
         t_start = time.perf_counter()
         exact = self.method == "associative"
-        # NB: PlanCache defines __len__, so an *empty* cache is falsy;
-        # test identity against the disabled sentinels, not truthiness.
         cache = config.plan_cache
-        if cache is False or cache is None:
-            cache = None
         results: list[SmootherResult | None] = [None] * len(problems)
         t0 = time.perf_counter()
-        plan = None
-        if cache is not None:
-            key = workload_key(
-                problems,
-                pad=config.pad,
-                exact_obs=exact,
-                backend=backend_name,
-            )
-            plan, hit = cache.get_or_build(
-                key,
-                lambda: build_plan(
-                    problems,
-                    pad=config.pad,
-                    exact_obs=exact,
-                    array_backend=ab,
-                ),
-            )
-            phases["plan"] += time.perf_counter() - t0
-            diag["plan_cache"] = {
-                "enabled": True,
-                "hit": hit,
-                **cache.stats(),
-            }
-        else:
-            buckets = bucket_problems(
-                problems, pad=config.pad, exact_obs=exact
-            )
-            phases["plan"] += time.perf_counter() - t0
-            # The un-planned path smooths the physically padded
-            # problems bucket_problems built.
-            padded_by_bucket = [b.problems for b in buckets]
-        # A planned replay mutates the plan's preallocated workspaces,
-        # so the whole bucket loop runs under a workspace lease:
-        # concurrent callers replaying the same cached plan each own a
-        # private workspace set and cannot alias each other's buffers.
-        lease = (
-            plan.lease_workspaces() if plan is not None else nullcontext()
+        key = workload_key(problems, exact_obs=exact)
+        plan, hit = cache.get_or_build(
+            key, lambda: build_plan(problems, exact_obs=exact)
         )
-        with lease as workspaces:
-            if plan is not None:
-                groups = [
-                    (bp.indices, bp.n_states_orig, bp.target, ws)
-                    for bp, ws in zip(plan.buckets, workspaces)
-                ]
+        phases["plan"] += time.perf_counter() - t0
+        diag["plan_cache"] = {"hit": hit, **cache.stats()}
+        for bucket in plan.buckets:
+            members = bucket.members(problems)
+            if exact:
+                out = self._associative_stack(
+                    members, bucket, config, phases
+                )
             else:
-                groups = [
-                    (b.indices, b.n_states_orig, b.n_states, None)
-                    for b in buckets
-                ]
-            for g, (indices, n_orig, target, layout) in enumerate(groups):
-                if plan is not None:
-                    members = [problems[j] for j in indices]
-                    if exact or layout is None:
-                        members = [pad_problem(p, target) for p in members]
-                else:
-                    members = padded_by_bucket[g]
-                if exact:
-                    out = self._associative_stack(
-                        members, n_orig, target, config, phases
-                    )
-                else:
-                    out = self._oddeven_stack(
-                        members, indices, n_orig, target, layout, config,
-                        phases,
-                    )
-                for idx, result in zip(indices, out):
-                    results[idx] = result
-        if plan is not None:
-            diag["plan_cache"]["workspaces"] = plan.workspace_stats()
+                out = self._oddeven_stack(members, bucket, config, phases)
+            for idx, result in zip(bucket.indices, out):
+                results[idx] = result
         diag["total_s"] = time.perf_counter() - t_start
-        self._publish_metrics(diag, plan)
+        self._publish_metrics(diag)
         return results  # type: ignore[return-value]
 
     @staticmethod
-    def _publish_metrics(diag: dict, plan) -> None:
+    def _publish_metrics(diag: dict) -> None:
         """Report one call's diagnostics through :mod:`repro.obs`.
 
         ``last_diagnostics`` stays the per-call view; the registry
         accumulates across calls (per-phase timing histograms, call
-        and sequence counters, plan workspace footprint).  Looked up
-        dynamically so swapping in a :class:`~repro.obs.NullRegistry`
-        turns the cost into a few no-op calls (measured by
-        ``bench/batch.py --obs``).
+        and sequence counters).  Looked up dynamically so swapping in
+        a :class:`~repro.obs.NullRegistry` turns the cost into a few
+        no-op calls (measured by ``bench/batch.py --obs``).
         """
         registry = obs.get_registry()
         if not registry.enabled:
@@ -446,10 +382,6 @@ class BatchSmoother(SmootherBase):
         registry.histogram("repro_batch_call_seconds").observe(
             diag["total_s"]
         )
-        if plan is not None:
-            registry.gauge("repro_plan_workspace_bytes").set(
-                plan.nbytes()
-            )
 
     # ------------------------------------------------------------------
     # per-bucket engines
@@ -457,10 +389,7 @@ class BatchSmoother(SmootherBase):
     def _oddeven_stack(
         self,
         members: list[StateSpaceProblem],
-        indices: list[int],
-        n_orig: list[int],
-        target: int,
-        layout: BucketLayout | None,
+        bucket: Bucket,
         config: EstimatorConfig,
         phases: dict,
     ) -> list[SmootherResult]:
@@ -472,11 +401,8 @@ class BatchSmoother(SmootherBase):
             np.dtype(config.solve_dtype) == np.float32
         )
         t0 = time.perf_counter()
-        white = stack_whitened(members, layout=layout)
-        if foreign and layout is None:
-            # No compiled device workspaces (plan caching disabled):
-            # stacking ran on host, so move the whitened blocks to the
-            # backend before the factorization.
+        white = stack_whitened(members)
+        if foreign:
             white = _white_to_backend(white, ab)
         phases["stack"] += time.perf_counter() - t0
         white_solve = _cast_white(white, np.float32) if mixed else white
@@ -518,21 +444,21 @@ class BatchSmoother(SmootherBase):
         except np.linalg.LinAlgError as exc:
             # A singular or non-finite diagonal, or a non-finite state,
             # is often non-finite input: name it instead.
-            reject_nonfinite(members, exc, indices=indices)
+            reject_nonfinite(members, exc, indices=bucket.indices)
             slices = getattr(exc, "batch_slices", None)
             if not slices:
                 raise
             culprits = [
-                indices[s]
+                bucket.indices[s]
                 for s in slices
-                if isinstance(s, int) and s < len(indices)
+                if isinstance(s, int) and s < bucket.batch
             ]
             raise np.linalg.LinAlgError(
                 f"{exc} (problem index(es) {culprits} of the "
                 "smooth_many workload)"
             ) from exc
         if not np.isfinite(to_host(residual)).all():
-            reject_nonfinite(members, None, indices=indices)
+            reject_nonfinite(members, None, indices=bucket.indices)
         algorithm = "batch-odd-even" + ("" if want_cov else "-nc")
         depth = factor.depth()
         if foreign:
@@ -544,7 +470,7 @@ class BatchSmoother(SmootherBase):
                 covs = [to_host(c) for c in covs]
             residual = np.atleast_1d(to_host(residual))
         out = []
-        for b, n_states in enumerate(n_orig):
+        for b, n_states in enumerate(bucket.n_states_orig):
             out.append(
                 SmootherResult(
                     means=[
@@ -562,9 +488,9 @@ class BatchSmoother(SmootherBase):
                     residual_sq=float(residual[b]),
                     algorithm=algorithm,
                     diagnostics={
-                        "batch": len(members),
+                        "batch": bucket.batch,
                         "levels": depth,
-                        "padded_states": target - n_states,
+                        "padded_states": bucket.n_states - n_states,
                         "solve_dtype": (
                             "float32" if mixed else "float64"
                         ),
@@ -574,7 +500,6 @@ class BatchSmoother(SmootherBase):
                         "refine_steps": (
                             self.refine_steps if mixed else 0
                         ),
-                        "planned": layout is not None,
                         "array_backend": (
                             ab.name if foreign else "numpy"
                         ),
@@ -586,20 +511,30 @@ class BatchSmoother(SmootherBase):
     def _associative_stack(
         self,
         members: list[StateSpaceProblem],
-        n_orig: list[int],
-        target: int,
+        bucket: Bucket,
         config: EstimatorConfig,
         phases: dict,
     ) -> list[SmootherResult]:
         ab = getattr(config, "array_module", None)
         foreign = ab is not None and getattr(ab, "name", "numpy") != "numpy"
         t0 = time.perf_counter()
-        means, covs = batched_associative_smooth(
-            members, config.backend, array_backend=ab
-        )
+        try:
+            means, covs = batched_associative_smooth(
+                members, config.backend, array_backend=ab
+            )
+        except np.linalg.LinAlgError as exc:
+            reject_nonfinite(
+                members, exc, indices=bucket.indices, smoother=_ASSOCIATIVE
+            )
+            raise
         phases["scan"] += time.perf_counter() - t0
+        if not all(np.isfinite(x).all() for x in (*means, *covs)):
+            # The scans carry a non-finite input through silently.
+            reject_nonfinite(
+                members, None, indices=bucket.indices, smoother=_ASSOCIATIVE
+            )
         out = []
-        for b, n_states in enumerate(n_orig):
+        for b, n_states in enumerate(bucket.n_states_orig):
             out.append(
                 SmootherResult(
                     means=[means[i][b] for i in range(n_states)],
@@ -607,8 +542,8 @@ class BatchSmoother(SmootherBase):
                     residual_sq=None,
                     algorithm="batch-associative",
                     diagnostics={
-                        "batch": len(members),
-                        "padded_states": target - n_states,
+                        "batch": bucket.batch,
+                        "padded_states": bucket.n_states - n_states,
                         "array_backend": (
                             ab.name if foreign else "numpy"
                         ),

@@ -9,16 +9,7 @@ sequences into stacked kernels, so throughput should grow with the
 batch size until the kernels are large enough to amortize the
 overheads.
 
-A second benchmark, :func:`plan_cache_amortization`, measures what the
-compiled-plan layer (:mod:`repro.batch.plan`) buys on serving-shaped
-traffic: the *same* window structure solved flush after flush, where
-the structure-only preamble (signatures, bucketing, padding, workspace
-allocation) is pure overhead after the first call.  It reports cold
-(un-planned, the pre-plan-layer path) vs warm (cached plan replayed)
-throughput, the per-phase timing split from
-``BatchSmoother.last_diagnostics``, and the cache counters.
-
-A third benchmark, :func:`obs_overhead`, prices the
+A second benchmark, :func:`obs_overhead`, prices the
 :mod:`repro.obs` instrumentation itself: warm plan-cached
 ``smooth_many`` throughput with a live :class:`~repro.obs.MetricsRegistry`
 versus a :class:`~repro.obs.NullRegistry`, on the serving-shaped
@@ -26,7 +17,7 @@ workload where per-call overhead matters most.  The hot path looks the
 registry up dynamically, so swapping in the null registry is exactly
 the "metrics disabled" configuration.
 
-A fourth benchmark, :func:`backend_throughput`, prices an array
+A third benchmark, :func:`backend_throughput`, prices an array
 backend (:mod:`repro.linalg.xp`): warm plan-cached ``smooth_many``
 throughput with ``EstimatorConfig(array_module=NAME)`` versus the
 plain-numpy run on the same workload, per batch size.  Select it with
@@ -36,14 +27,11 @@ Run as a module for the table + JSON artifact::
 
     PYTHONPATH=src python -m repro.bench.batch            # full sweep
     PYTHONPATH=src python -m repro.bench.batch --quick    # CI smoke
-    PYTHONPATH=src python -m repro.bench.batch --plan     # plan cache
-    PYTHONPATH=src python -m repro.bench.batch --plan-quick  # CI smoke
     PYTHONPATH=src python -m repro.bench.batch --obs      # obs overhead
     PYTHONPATH=src python -m repro.bench.batch --backend torch --quick
 
 Results are persisted to ``results/batch_throughput.json``,
-``results/plan_cache.json``, ``results/obs_overhead.json``, and
-``results/backend_<name>.json``.
+``results/obs_overhead.json``, and ``results/backend_<name>.json``.
 """
 
 from __future__ import annotations
@@ -62,7 +50,6 @@ __all__ = [
     "backend_throughput",
     "batch_throughput",
     "obs_overhead",
-    "plan_cache_amortization",
     "main",
 ]
 
@@ -131,79 +118,6 @@ def batch_throughput(
     return record
 
 
-def plan_cache_amortization(
-    batch: int = 64,
-    k: int = 7,
-    n: int = 4,
-    repeats: int = 9,
-    compute_covariance: bool = True,
-    result_name: str = "plan_cache",
-) -> dict:
-    """Cold vs warm ``smooth_many`` throughput under the plan cache.
-
-    The workload is serving-shaped — many short identical-structure
-    windows per call, the regime of :class:`~repro.stream.StreamServer`
-    flushes — where the structure preamble dominates.  "Cold" is the
-    un-planned path (``plan_cache=False``): bucketing, padding, and
-    per-slice whitener construction on every call, exactly what every
-    call paid before the plan layer existed.  "Rebuild" compiles a
-    fresh plan each call (a never-hitting cache); "warm" replays one
-    cached plan through the preallocated workspaces.  Returns (and
-    persists) the medians, the warm/cold speedup, per-phase timings of
-    a warm call, and the cache counters; the quick CI run asserts a
-    non-zero hit rate on this record.
-    """
-    smoother = make_smoother(
-        "batch-odd-even", compute_covariance=compute_covariance
-    )
-    problems = _workload(batch, k, n)
-
-    def rebuild_call():
-        # A fresh single-use cache per call: pays the full plan build
-        # but still stacks through the compiled layout.
-        smoother.smooth_many(
-            problems, config=EstimatorConfig(plan_cache=PlanCache())
-        )
-
-    def cold_call():
-        smoother.smooth_many(
-            problems, config=EstimatorConfig(plan_cache=False)
-        )
-
-    cache = PlanCache()
-    warm_config = EstimatorConfig(plan_cache=cache)
-
-    def warm_call():
-        smoother.smooth_many(problems, config=warm_config)
-
-    warm_call()  # populate the cache; every timed call below is a hit
-    t_cold = median_time(cold_call, repeats=repeats)
-    t_rebuild = median_time(rebuild_call, repeats=repeats)
-    t_warm = median_time(warm_call, repeats=repeats)
-    phases = dict(smoother.last_diagnostics["phases"])
-    record = {
-        "workload": {
-            "batch": batch,
-            "k": k,
-            "n": n,
-            "repeats": repeats,
-            "compute_covariance": compute_covariance,
-        },
-        "cold_seconds": t_cold,
-        "rebuild_seconds": t_rebuild,
-        "warm_seconds": t_warm,
-        "cold_seq_per_sec": batch / t_cold,
-        "rebuild_seq_per_sec": batch / t_rebuild,
-        "warm_seq_per_sec": batch / t_warm,
-        "warm_vs_cold_speedup": t_cold / t_warm,
-        "warm_vs_rebuild_speedup": t_rebuild / t_warm,
-        "warm_phases_seconds": phases,
-        "cache": cache.stats(),
-    }
-    save_results(result_name, record)
-    return record
-
-
 def backend_throughput(
     backend: str,
     batch_sizes=(16, 64),
@@ -216,8 +130,9 @@ def backend_throughput(
     """Warm plan-cached ``smooth_many`` on ``backend`` vs plain numpy.
 
     Both sides replay a cached plan over the same workload, so the
-    measured delta is the backend itself: device workspaces, adapted
-    kernels, and the one host crossing at the result boundary.  The
+    measured delta is the backend itself: the per-bucket move of the
+    whitened stack, adapted kernels, and the one host crossing at the
+    result boundary.  The
     ratio is informative on vectorized hardware and expected to be
     *below* 1 for CPU builds of torch on small blocks — the point of
     recording it is the step function at large batch on real
@@ -280,10 +195,11 @@ def obs_overhead(
 ) -> dict:
     """Warm plan-cached ``smooth_many`` with metrics on vs off.
 
-    Times the same warm-cache serving-shaped workload as
-    :func:`plan_cache_amortization` under a live registry and under
-    :class:`~repro.obs.NullRegistry`, and reports the on/off wall-clock
-    ratio.  The acceptance budget is <2% overhead: the hot path pays
+    Times a warm-cache serving-shaped workload (many short
+    identical-structure windows per call, the regime of
+    :class:`~repro.stream.StreamServer` flushes) under a live registry
+    and under :class:`~repro.obs.NullRegistry`, and reports the on/off
+    wall-clock ratio.  The acceptance budget is <2% overhead: the hot path pays
     one registry lookup plus a handful of counter increments and
     histogram observations per *call* (not per sequence), so the cost
     is amortized across the batch.
@@ -339,43 +255,6 @@ def obs_overhead(
     return record
 
 
-def _print_plan_record(record: dict) -> None:
-    w = record["workload"]
-    print(
-        f"Plan-cache amortization (batch={w['batch']}, k={w['k']}, "
-        f"n={w['n']})"
-    )
-    for label, key in (
-        ("cold (no plan layer)", "cold"),
-        ("rebuild (plan built/call)", "rebuild"),
-        ("warm (plan replayed)", "warm"),
-    ):
-        print(
-            f"  {label:28s} {record[key + '_seconds'] * 1e3:8.2f} ms"
-            f"  {record[key + '_seq_per_sec']:10.1f} seq/s"
-        )
-    print(
-        f"  warm/cold speedup {record['warm_vs_cold_speedup']:.2f}x, "
-        f"warm/rebuild {record['warm_vs_rebuild_speedup']:.2f}x"
-    )
-    phases = record["warm_phases_seconds"]
-    total = sum(phases.values()) or 1.0
-    split = ", ".join(
-        f"{name} {t / total:.0%}"
-        for name, t in sorted(
-            phases.items(), key=lambda kv: -kv[1]
-        )
-        if t > 0
-    )
-    print(f"  warm phase split: {split}")
-    stats = record["cache"]
-    print(
-        f"  cache: {stats['hits']} hits / {stats['misses']} miss "
-        f"(hit rate {stats['hit_rate']:.2f}), "
-        f"{stats['workspace_bytes'] / 1024:.1f} KiB workspaces"
-    )
-
-
 def main(argv: list[str] | None = None) -> None:
     import argparse
 
@@ -386,16 +265,6 @@ def main(argv: list[str] | None = None) -> None:
         "--quick",
         action="store_true",
         help="tiny sweep for CI smoke runs",
-    )
-    parser.add_argument(
-        "--plan",
-        action="store_true",
-        help="plan-cache amortization benchmark",
-    )
-    parser.add_argument(
-        "--plan-quick",
-        action="store_true",
-        help="small plan-cache run for CI (asserts a warm hit rate)",
     )
     parser.add_argument(
         "--obs",
@@ -445,22 +314,6 @@ def main(argv: list[str] | None = None) -> None:
             f"  {record['metrics_on_seq_per_sec']:10.1f} seq/s"
         )
         print(f"  overhead: {record['overhead_pct']:+.2f}%")
-        return
-    if args.plan or args.plan_quick:
-        if args.plan_quick:
-            record = plan_cache_amortization(
-                batch=16,
-                k=7,
-                n=3,
-                repeats=3,
-                result_name="plan_cache_quick",
-            )
-            assert record["cache"]["hit_rate"] > 0, (
-                "plan cache never hit on a repeated-structure workload"
-            )
-        else:
-            record = plan_cache_amortization()
-        _print_plan_record(record)
         return
     if args.quick:
         record = batch_throughput(

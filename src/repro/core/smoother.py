@@ -39,12 +39,14 @@ def reject_nonfinite(
     cause: BaseException | None,
     *,
     indices: list[int] | None = None,
+    smoother: str = "the odd-even smoother",
 ) -> None:
     """Raise ``ValueError`` naming the first problem with non-finite data.
 
     ``indices`` are the problems' positions in a ``smooth_many``
     workload; given, the message leads with the culprit's index.
-    Returns quietly when every problem is finite.
+    ``smoother`` names the algorithm in the message.  Returns quietly
+    when every problem is finite.
     """
     for pos, problem in enumerate(problems):
         culprit = problem.nonfinite_field()
@@ -56,7 +58,7 @@ def reject_nonfinite(
             else f"problem index {indices[pos]} of the smooth_many workload: "
         )
         raise ValueError(
-            f"{where}{culprit}; the odd-even smoother needs finite data"
+            f"{where}{culprit}; {smoother} needs finite data"
         ) from cause
 
 

@@ -25,14 +25,13 @@ from scipy.linalg import cholesky as _cholesky, get_lapack_funcs
 from ..parallel.tally import add_cost
 from .flops import cholesky_flops, trsm_bytes, trsm_flops
 from .triangular import as_working_dtype, solve_lower
-from .xp import get_namespace, to_host
+from .xp import get_namespace
 
 __all__ = [
     "spd_cholesky",
     "spd_solve",
     "Whitener",
     "stack_whiten",
-    "stack_whiten_prepared",
     "whiten_each",
     "whiten_packed",
 ]
@@ -396,40 +395,3 @@ def whiten_each(factors: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     add_cost(count * trsm_flops(n, 1), count * trsm_bytes(n, 1))
     return out
 
-
-def stack_whiten_prepared(
-    block_stack: np.ndarray,
-    factors: np.ndarray | None = None,
-    scales: np.ndarray | None = None,
-) -> np.ndarray:
-    """:func:`stack_whiten` for a pre-assembled factor stack.
-
-    The plan-compiled stacking path (``repro.batch.stacking``) builds
-    the per-slice factor matrices directly into a reusable workspace
-    instead of constructing :class:`Whitener` objects per call; this
-    entry point applies them branch-for-branch like
-    :func:`stack_whiten` — one batched lower solve when ``factors``
-    is given, a scaling when ``scales`` is, a copy when every scale is
-    one — so the results (and recorded costs) are bit-for-bit
-    identical when the inputs hold the values ``factor_matrix()`` /
-    ``scale`` would have produced.
-    """
-    block_stack = as_working_dtype(block_stack)
-    xp = get_namespace(block_stack, factors)
-    rows = block_stack.shape[1]
-    if (
-        block_stack.shape[0] == 0
-        or rows == 0
-        or block_stack.shape[2] == 0
-    ):
-        return xp.copy(block_stack)
-    if factors is not None:
-        return solve_lower(
-            xp.astype(factors, block_stack.dtype, copy=False), block_stack
-        )
-    scales = xp.astype(xp.asarray(scales), block_stack.dtype, copy=False)
-    if np.all(to_host(scales) == 1.0):
-        return xp.copy(block_stack)
-    b, k = block_stack.shape[0], block_stack.shape[2]
-    add_cost(float(b) * rows * k, b * trsm_bytes(rows, k))
-    return block_stack / scales[:, None, None]

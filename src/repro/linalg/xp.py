@@ -53,9 +53,7 @@ class ArrayBackend:
 
     ``xp`` is the numpy-like namespace routed kernels call into;
     ``from_numpy`` / ``to_numpy`` move data across the host boundary;
-    ``handles(a)`` answers "does this array belong to me?".  Every
-    backend's arrays support numpy-style slice assignment, so plans
-    can preallocate workspaces on any of them.
+    ``handles(a)`` answers "does this array belong to me?".
     """
 
     def __init__(self, name: str, xp, *, from_numpy, to_numpy, handles):

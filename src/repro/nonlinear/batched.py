@@ -116,7 +116,6 @@ def drive_batched(
         backend=config.backend,
         compute_covariance=owner._batch_inner_covariance(),
         dtype=config.dtype,
-        pad=config.pad,
         plan_cache=config.plan_cache,
         array_module=config.array_module,
     )

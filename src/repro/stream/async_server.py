@@ -11,9 +11,8 @@ something:
     The synchronous core.  Streams are consistently hashed onto
     ``config.shards`` independent :class:`StreamServer` shards, each
     guarded by its own lock, so submissions from many threads never
-    contend on one server (this is also what made the plan-workspace
-    race of :mod:`repro.batch.plan` reachable: concurrent shard
-    flushes replay one cached :class:`~repro.batch.plan.SmoothPlan`).
+    contend on one server (concurrent shard flushes share one cached
+    :class:`~repro.batch.plan.SmoothPlan`, which no call changes).
     Flushing is *adaptive micro-batching*: a shard flushes when it
     accumulates ``max_batch`` due states (size trigger) or when the
     oldest due state has waited ``max_delay`` seconds (deadline
@@ -114,7 +113,7 @@ class ShardedStreamServer:
         Injectable so deadline behavior is testable without sleeping.
     registry:
         The :class:`~repro.obs.MetricsRegistry` this server reports
-        through (emission-latency reservoir, per-shard flush counters,
+        through (emission-latency series, per-shard flush counters,
         adaptive-controller gauge).  Defaults to the process-wide
         :func:`repro.obs.get_registry`; inject one per server for
         isolated scrapes.
@@ -175,8 +174,12 @@ class ShardedStreamServer:
         self._out_lock = threading.Lock()
         # The bounded reservoir replacing the historical unbounded
         # ``_latencies`` list: exact count/min/max forever, quantiles
-        # over the most recent LATENCY_WINDOW emissions.
-        self._latency_hist = self.registry.histogram(
+        # over the most recent LATENCY_WINDOW emissions.  It is this
+        # server's own: the registry hands every server the same
+        # exported series, and the SLO controller and latency_stats()
+        # must not read other servers' emissions.
+        self._latency_hist = obs.Histogram(window=LATENCY_WINDOW)
+        self._latency_metric = self.registry.histogram(
             "repro_serving_emission_latency_seconds",
             window=LATENCY_WINDOW,
         )
@@ -336,7 +339,9 @@ class ShardedStreamServer:
             n_emitted += len(ems)
             for _ in ems:
                 if ready:
-                    self._latency_hist.observe(now - ready.popleft())
+                    latency = now - ready.popleft()
+                    self._latency_hist.observe(latency)
+                    self._latency_metric.observe(latency)
         shard.emission_counter.inc(n_emitted)
         with self._out_lock:
             for sid, ems in emitted.items():
@@ -368,7 +373,7 @@ class ShardedStreamServer:
         the quantity ``max_delay`` bounds, excluding solve time only
         insofar as the flush timestamp is taken when the flush starts.
 
-        A thin view over the bounded registry reservoir: ``count`` is
+        A thin view over the server's bounded reservoir: ``count`` is
         exact over the server's lifetime, the percentiles cover the
         most recent ``window`` emissions (``retained`` of them so
         far).  The schema is stable — every value is always a number,

@@ -21,7 +21,7 @@ class TestValueSemantics:
         assert cfg.backend is None
         assert cfg.compute_covariance is None
         assert cfg.dtype is None
-        assert cfg.pad is None
+        assert cfg.plan_cache is None
 
     def test_replace_returns_new_value(self):
         cfg = EstimatorConfig()
@@ -36,11 +36,11 @@ class TestValueSemantics:
 
 class TestMerge:
     def test_set_fields_win(self):
-        base = EstimatorConfig(compute_covariance=True, pad=False)
+        base = EstimatorConfig(compute_covariance=True, dtype="mixed")
         override = EstimatorConfig(compute_covariance=False)
         merged = base.merged(override)
         assert merged.compute_covariance is False
-        assert merged.pad is False  # fell through from base
+        assert merged.dtype == "mixed"  # fell through from base
 
     def test_none_override_is_identity(self):
         base = EstimatorConfig(compute_covariance=False)
@@ -49,12 +49,9 @@ class TestMerge:
 
     def test_false_is_a_set_value(self):
         """``False`` must override ``True`` (tri-state, not truthiness)."""
-        base = EstimatorConfig(compute_covariance=True, pad=True)
-        merged = base.merged(
-            EstimatorConfig(compute_covariance=False, pad=False)
-        )
+        base = EstimatorConfig(compute_covariance=True)
+        merged = base.merged(EstimatorConfig(compute_covariance=False))
         assert merged.compute_covariance is False
-        assert merged.pad is False
 
 
 class TestResolve:
@@ -62,7 +59,7 @@ class TestResolve:
         resolved = EstimatorConfig().resolve()
         assert isinstance(resolved.backend, SerialBackend)
         assert resolved.compute_covariance is True
-        assert resolved.pad is True
+        assert resolved.plan_cache is repro.default_plan_cache()
         assert resolved.dtype is None
 
     def test_respects_default_compute_covariance(self):
@@ -79,6 +76,12 @@ class TestResolve:
         # And the other way: unset call config defers to the instance.
         resolved = EstimatorConfig().resolve(instance)
         assert resolved.compute_covariance is False
+
+    def test_plan_cache_must_be_a_cache(self):
+        cache = repro.PlanCache()
+        assert EstimatorConfig(plan_cache=cache).resolve().plan_cache is cache
+        with pytest.raises(TypeError, match="PlanCache"):
+            EstimatorConfig(plan_cache=False).resolve()
 
     def test_explicit_backend_survives(self):
         with ThreadPoolBackend(num_threads=2) as backend:

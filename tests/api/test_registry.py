@@ -54,8 +54,8 @@ class TestDefaultRegistry:
     def test_constructor_options_forwarded(self):
         smoother = make_smoother("odd-even", compute_covariance=False)
         assert smoother.compute_covariance is False
-        batch = make_smoother("batch-odd-even", pad=False)
-        assert batch.pad is False
+        batch = make_smoother("batch-odd-even", refine_steps=0)
+        assert batch.refine_steps == 0
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(ValueError, match="odd-even"):

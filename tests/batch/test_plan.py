@@ -2,10 +2,12 @@
 
 The contract under test is the one ``repro.batch.plan`` documents:
 replaying a cached :class:`~repro.batch.plan.SmoothPlan` is *exact* —
-planned and unplanned ``smooth_many`` agree bit for bit — and the
-float32 fast path with iterative refinement recovers float64-level
-means on ill-conditioned workloads.
+a warm replay and a freshly built plan agree bit for bit, and a plan
+holds no arrays — and the float32 fast path with iterative refinement
+recovers float64-level means on ill-conditioned workloads.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.batch.plan import (
     default_plan_cache,
     workload_key,
 )
+from repro.linalg.cholesky import Whitener
 from repro.model.generators import ill_conditioned_problem, random_problem
 
 
@@ -55,7 +58,6 @@ class TestWorkloadKey:
 
     def test_options_and_order_matter(self):
         a = workload([5, 7])
-        assert workload_key(a, pad=True) != workload_key(a, pad=False)
         assert workload_key(a, exact_obs=True) != workload_key(a)
         assert workload_key(a) != workload_key(list(reversed(a)))
 
@@ -79,7 +81,6 @@ class TestPlanCache:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
-        assert stats["workspace_bytes"] > 0
 
     def test_lru_eviction(self):
         cache = PlanCache(maxsize=2)
@@ -117,8 +118,49 @@ class TestPlanCache:
         assert default_plan_cache() is default_plan_cache()
 
 
+def _leaves(value, seen=None):
+    """Every object reachable from ``value`` through dataclass fields
+    and containers (a plan's whole recorded state)."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    yield value
+    if dataclasses.is_dataclass(value):
+        children = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = list(value)
+    else:
+        children = list(getattr(value, "__dict__", {}).values())
+    for child in children:
+        yield from _leaves(child, seen)
+
+
+class TestPlanHoldsNoArrays:
+    def test_plan_records_bucket_membership_only(self):
+        """After a replay through it, a mixed fleet's plan still holds
+        no array and no whitener, and the cache reports no workspace
+        footprint: there is nothing a call could write into."""
+        probs = workload([5, 9, 12, 30], dims=3) + workload(
+            [7, 16], seed0=40, dims=2
+        )
+        cache = PlanCache()
+        key = workload_key(probs)
+        plan, _ = cache.get_or_build(key, lambda: build_plan(probs))
+        repro.BatchSmoother().smooth_many(
+            probs, config=repro.EstimatorConfig(plan_cache=cache)
+        )
+        assert cache.get(key) is plan
+        assert len(plan.buckets) > 1
+        for leaf in _leaves(plan):
+            assert not isinstance(leaf, (np.ndarray, Whitener)), leaf
+        assert "workspace_bytes" not in cache.stats()
+
+
 class TestPlannedReplayExact:
-    """Planned and unplanned smooth_many agree bit for bit."""
+    """Warm replays and freshly built plans agree bit for bit."""
 
     @pytest.mark.parametrize("dtype", [None, "mixed", np.float32])
     def test_warm_replay_is_bit_for_bit(self, dtype):
@@ -127,7 +169,7 @@ class TestPlannedReplayExact:
         cache = PlanCache()
         cold = sm.smooth_many(
             probs,
-            config=repro.EstimatorConfig(dtype=dtype, plan_cache=False),
+            config=repro.EstimatorConfig(dtype=dtype, plan_cache=PlanCache()),
         )
         planned = sm.smooth_many(
             probs,
@@ -158,7 +200,7 @@ class TestPlannedReplayExact:
         )
         assert sm.last_diagnostics["plan_cache"]["hit"] is True
         want = sm.smooth_many(
-            second, config=repro.EstimatorConfig(plan_cache=False)
+            second, config=repro.EstimatorConfig(plan_cache=PlanCache())
         )
         assert_identical(want, got)
 
@@ -168,17 +210,16 @@ class TestPlannedReplayExact:
             st.integers(min_value=2, max_value=17), min_size=1, max_size=5
         ),
         seed=st.integers(min_value=0, max_value=2**16),
-        pad=st.booleans(),
     )
-    def test_property_plan_replay_exact(self, lengths, seed, pad):
+    def test_property_plan_replay_exact(self, lengths, seed):
         probs = workload(lengths, seed0=seed)
         sm = repro.BatchSmoother()
         cache = PlanCache()
-        cfg = repro.EstimatorConfig(pad=pad, plan_cache=cache)
+        cfg = repro.EstimatorConfig(plan_cache=cache)
         planned = sm.smooth_many(probs, config=cfg)
         warm = sm.smooth_many(probs, config=cfg)
         cold = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(pad=pad, plan_cache=False)
+            probs, config=repro.EstimatorConfig(plan_cache=PlanCache())
         )
         assert_identical(cold, planned)
         assert_identical(planned, warm)
@@ -192,7 +233,7 @@ class TestPlannedReplayExact:
         warm = sm.smooth_many(probs, config=cfg)
         assert sm.last_diagnostics["plan_cache"]["hit"] is True
         cold = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=False)
+            probs, config=repro.EstimatorConfig(plan_cache=PlanCache())
         )
         assert_identical(cold, planned)
         assert_identical(planned, warm)
@@ -205,31 +246,12 @@ class TestDiagnostics:
         cache = PlanCache()
         sm.smooth_many(probs, config=repro.EstimatorConfig(plan_cache=cache))
         diag = sm.last_diagnostics
-        assert diag["plan_cache"]["enabled"] is True
+        assert diag["plan_cache"]["hit"] is False
         assert diag["workload"] == 2
         phases = diag["phases"]
         assert phases["stack"] > 0 and phases["factorize"] > 0
         assert phases["refine"] == 0.0  # float64 run: no refinement
         assert diag["total_s"] > 0
-
-    def test_result_diagnostics_flag_planned_runs(self):
-        probs = workload([6])
-        sm = repro.BatchSmoother()
-        planned = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=PlanCache())
-        )
-        cold = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=False)
-        )
-        assert planned[0].diagnostics["planned"] is True
-        assert cold[0].diagnostics["planned"] is False
-
-    def test_disabled_cache_reports_disabled(self):
-        sm = repro.BatchSmoother()
-        sm.smooth_many(
-            workload([4]), config=repro.EstimatorConfig(plan_cache=False)
-        )
-        assert sm.last_diagnostics["plan_cache"]["enabled"] is False
 
 
 class TestMixedPrecision:
@@ -246,11 +268,11 @@ class TestMixedPrecision:
         ]
         sm = repro.BatchSmoother()
         r64 = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=False)
+            probs, config=repro.EstimatorConfig(plan_cache=PlanCache())
         )
         rmx = sm.smooth_many(
             probs,
-            config=repro.EstimatorConfig(dtype="mixed", plan_cache=False),
+            config=repro.EstimatorConfig(dtype="mixed", plan_cache=PlanCache()),
         )
         assert sm.last_diagnostics["phases"]["refine"] > 0
         for a, b in zip(r64, rmx):
@@ -276,11 +298,11 @@ class TestMixedPrecision:
         ]
         sm = repro.BatchSmoother()
         r64 = sm.smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=False)
+            probs, config=repro.EstimatorConfig(plan_cache=PlanCache())
         )
         rmx = sm.smooth_many(
             probs,
-            config=repro.EstimatorConfig(dtype="mixed", plan_cache=False),
+            config=repro.EstimatorConfig(dtype="mixed", plan_cache=PlanCache()),
         )
         assert sm.last_diagnostics["phases"]["cov_refine"] > 0
         for a, b in zip(r64, rmx):
@@ -297,7 +319,7 @@ class TestMixedPrecision:
         sm = repro.BatchSmoother(compute_covariance=False)
         out = sm.smooth_many(
             probs,
-            config=repro.EstimatorConfig(dtype="mixed", plan_cache=False),
+            config=repro.EstimatorConfig(dtype="mixed", plan_cache=PlanCache()),
         )
         assert sm.last_diagnostics["phases"]["cov_refine"] == 0.0
         assert out[0].covariances is None
@@ -306,9 +328,9 @@ class TestMixedPrecision:
     def test_refinement_beats_raw_float32(self):
         probs = [ill_conditioned_problem(n=4, k=15, cond=1e4, seed=7)]
         r64 = repro.BatchSmoother().smooth_many(
-            probs, config=repro.EstimatorConfig(plan_cache=False)
+            probs, config=repro.EstimatorConfig(plan_cache=PlanCache())
         )
-        cfg = repro.EstimatorConfig(dtype="mixed", plan_cache=False)
+        cfg = repro.EstimatorConfig(dtype="mixed", plan_cache=PlanCache())
         raw = repro.BatchSmoother(refine_steps=0).smooth_many(
             probs, config=cfg
         )
@@ -332,7 +354,7 @@ class TestMixedPrecision:
         out = sm.smooth_many(
             probs,
             config=repro.EstimatorConfig(
-                dtype=np.float32, plan_cache=False
+                dtype=np.float32, plan_cache=PlanCache()
             ),
         )
         for r in out:

@@ -1,13 +1,12 @@
 """Concurrent plan replay: threaded == serial, bit for bit.
 
-The regression under test: a cached :class:`~repro.batch.plan.SmoothPlan`
-carries preallocated stacked workspaces, and before the workspace-lease
-mechanism two threads hitting the same :class:`~repro.batch.plan.PlanCache`
-entry wrote into the *same* buffers mid-flight, silently corrupting each
-other's stacked factorizations.  These tests drive N threads through one
-shared cache entry (distinct values, identical structure) and require
-every threaded result to equal the serial result exactly — they fail on
-the pre-lease code.
+Many threads replay one cached :class:`~repro.batch.plan.SmoothPlan`
+(the serving fleet's hot path).  A plan that carried reusable stacked
+buffers would let two threads hitting the same
+:class:`~repro.batch.plan.PlanCache` entry write into each other's
+stacks mid-flight.  These tests drive N threads through one shared
+cache entry (distinct values, identical structure) and require every
+threaded result to equal the serial result exactly.
 """
 
 import sys
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.batch.plan import PlanCache, build_plan, workload_key
+from repro.batch.plan import PlanCache, workload_key
 from repro.model.generators import random_problem
 
 
@@ -115,12 +114,12 @@ class TestThreadedReplayBitIdentical:
         sm = repro.BatchSmoother()
         for t, w in enumerate(workloads):
             want = sm.smooth_many(
-                w, config=repro.EstimatorConfig(plan_cache=False)
+                w, config=repro.EstimatorConfig(plan_cache=PlanCache())
             )
             assert_identical(want, got[t])
 
     def test_mixed_precision_threads(self):
-        """The float32/refined path leases workspaces too."""
+        """The float32/refined path shares plans across threads too."""
         workloads = [workload([5, 8], seed0=97 * t) for t in range(4)]
         cache = PlanCache()
         got = run_threaded(workloads, cache, rounds=3, dtype="mixed")
@@ -129,7 +128,7 @@ class TestThreadedReplayBitIdentical:
             want = sm.smooth_many(
                 w,
                 config=repro.EstimatorConfig(
-                    plan_cache=False, dtype="mixed"
+                    plan_cache=PlanCache(), dtype="mixed"
                 ),
             )
             assert_identical(want, got[t])
@@ -152,68 +151,6 @@ class TestThreadedReplayBitIdentical:
         sm = repro.BatchSmoother()
         for t, w in enumerate(workloads):
             want = sm.smooth_many(
-                w, config=repro.EstimatorConfig(plan_cache=False)
+                w, config=repro.EstimatorConfig(plan_cache=PlanCache())
             )
             assert_identical(want, got[t])
-
-
-class TestLeaseMechanics:
-    def test_uncontended_lease_reuses_the_template(self):
-        probs = workload([5, 6])
-        plan = build_plan(probs)
-        with plan.lease_workspaces() as ws1:
-            first = ws1
-        with plan.lease_workspaces() as ws2:
-            assert ws2 is first  # returned to the pool and re-leased
-        stats = plan.workspace_stats()
-        assert stats["leases"] == 2
-        assert stats["clones"] == 0
-        assert stats["pooled"] == 1
-
-    def test_contended_leases_get_distinct_workspaces(self):
-        probs = workload([5, 6])
-        plan = build_plan(probs)
-        with plan.lease_workspaces() as outer:
-            with plan.lease_workspaces() as inner:
-                assert inner is not outer
-                for a, b in zip(outer, inner):
-                    if a is None:
-                        assert b is None
-                        continue
-                    for ba, bb in zip(a.obs_buffers, b.obs_buffers):
-                        if ba is not None:
-                            assert ba is not bb
-                            np.testing.assert_array_equal(ba, bb)
-        assert plan.workspace_stats()["clones"] == 1
-        assert plan.workspace_stats()["pooled"] == 2
-
-    def test_pool_is_bounded(self):
-        probs = workload([4])
-        plan = build_plan(probs)
-        plan.max_pooled = 2
-        from contextlib import ExitStack
-
-        with ExitStack() as stack:
-            for _ in range(5):
-                stack.enter_context(plan.lease_workspaces())
-        stats = plan.workspace_stats()
-        assert stats["pooled"] == 2  # the rest were dropped
-        assert stats["clones"] == 4
-
-    def test_smoother_reports_workspace_stats(self):
-        probs = workload([5, 6])
-        cache = PlanCache()
-        sm = repro.BatchSmoother()
-        cfg = repro.EstimatorConfig(plan_cache=cache)
-        sm.smooth_many(probs, config=cfg)
-        sm.smooth_many(probs, config=cfg)
-        ws = sm.last_diagnostics["plan_cache"]["workspaces"]
-        assert ws["leases"] == 2
-        assert ws["clones"] == 0
-        assert ws["pooled"] == 1
-
-    def test_associative_plans_lease_none(self):
-        probs = workload([5, 5])
-        plan = build_plan(probs, exact_obs=True)
-        with plan.lease_workspaces() as ws:
-            assert ws == [None] * len(plan.buckets)

@@ -86,13 +86,6 @@ class TestSignatureAndBuckets:
         ]
         assert len(bucket_problems(problems)) == 2
 
-    def test_no_pad_buckets_exact_lengths(self):
-        problems = [
-            random_problem(k=3, seed=0, dims=3),
-            random_problem(k=5, seed=0, dims=3),
-        ]
-        assert len(bucket_problems(problems, pad=False)) == 2
-
 
 class TestStackWhitened:
     def test_matches_per_problem_whitening(self):

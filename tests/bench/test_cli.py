@@ -5,6 +5,13 @@ import pytest
 from repro.bench import figures
 
 
+@pytest.fixture(autouse=True)
+def scratch_results(tmp_path, monkeypatch):
+    """Write the CLI's records under ``tmp_path``: ``stability`` would
+    otherwise rewrite the committed record with this host's roundoff."""
+    monkeypatch.setattr("repro.bench.harness.results_dir", lambda: tmp_path)
+
+
 class TestMain:
     def test_fig1(self, capsys):
         figures.main("fig1")

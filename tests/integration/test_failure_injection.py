@@ -273,6 +273,35 @@ class TestNaNPropagationGuard:
         with pytest.raises(ValueError, match="prior has a non-finite mean"):
             OddEvenSmoother().smooth(p)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("observation o", "step 6 has a non-finite observation o"),
+            ("evolution F", "step 6 has a non-finite evolution F"),
+            ("prior mean", "prior has a non-finite mean"),
+        ],
+    )
+    def test_batch_associative_names_problem_and_field(self, field, message):
+        """The associative scans carry NaN through silently; the batched
+        associative smoother must reject it like the odd-even one."""
+        from repro.batch import BatchSmoother
+
+        poisoned = random_problem(k=12, seed=5, dims=3, random_cov=True)
+        if field == "prior mean":
+            poisoned.prior.mean[0] = np.nan
+        else:
+            self.CASES[field](poisoned)
+        fleet = [
+            random_problem(12, seed=s, dims=3, random_cov=True)
+            for s in (1, 2)
+        ]
+        fleet.insert(1, poisoned)
+        with pytest.raises(
+            ValueError,
+            match=rf"problem index 1 .*{message}; .*associative smoother",
+        ):
+            BatchSmoother(method="associative").smooth_many(fleet)
+
     def test_healthy_problem_scans_nothing(self, monkeypatch):
         """The step scan runs only after a non-finite result."""
         p = random_problem(k=9, seed=4, dims=2, random_cov=True)

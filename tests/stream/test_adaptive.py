@@ -382,6 +382,40 @@ class TestServerIntegration:
             config.min_batch <= m <= config.max_batch for m in observed
         )
 
+    def test_servers_sharing_a_registry_adapt_on_their_own_latencies(self):
+        """Two servers of one registry share the exported latency
+        series, but each controller and ``latency_stats()`` sees only
+        its own server's emissions."""
+        clock = FakeClock()
+        _, _, config = make_server()
+        registry = MetricsRegistry()
+        slow, quiet = (
+            ShardedStreamServer(
+                lag=2, config=config, clock=clock, registry=registry
+            )
+            for _ in range(2)
+        )
+        quiet.poll()  # anchor
+        p = random_problem(k=9, seed=0, dims=2)
+        for sid in ("a", "b", "c"):
+            slow.open_stream(
+                sid,
+                p.state_dims[0],
+                prior=(p.prior.mean, p.prior.cov_matrix()),
+            )
+            submit_steps(slow, sid, p, [0, 1, 2, 3])
+        clock.advance(0.5)  # every due state waits far past the SLO
+        slow.poll()
+        assert slow.latency_stats()["count"] == 6
+        clock.advance(0.06)
+        quiet.poll()
+        assert quiet.latency_stats()["count"] == 0
+        assert quiet.max_batch == 16
+        exported = registry.histogram(
+            "repro_serving_emission_latency_seconds"
+        )
+        assert exported.count == 6
+
     def test_static_server_has_no_controller(self):
         clock = FakeClock()
         server = ShardedStreamServer(
