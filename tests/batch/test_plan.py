@@ -159,6 +159,29 @@ class TestPlanHoldsNoArrays:
         assert "workspace_bytes" not in cache.stats()
 
 
+class TestBuildPlan:
+    def test_plan_is_frozen_and_rebuilds_equal(self):
+        """No caller can change a shared plan, and a rebuild of the
+        same workload records the same decisions."""
+        probs = workload([5, 9, 6])
+        plan = build_plan(probs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.buckets = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.buckets[0].n_states = 1
+        assert build_plan(probs) == plan
+
+    def test_associative_plans_split_on_observation_rows(self):
+        """The associative method stacks raw standard forms, so its
+        plans (``exact_obs``) keep differing observation rows apart;
+        odd-even plans zero-pad them into one bucket."""
+        dense = random_problem(k=6, seed=1, dims=2)
+        sparse = random_problem(k=6, seed=2, dims=2, obs_prob=0.4)
+        assert len(build_plan([dense, sparse]).buckets) == 1
+        exact = build_plan([dense, sparse], exact_obs=True)
+        assert [b.indices for b in exact.buckets] == [(0,), (1,)]
+
+
 class TestPlannedReplayExact:
     """Warm replays and freshly built plans agree bit for bit."""
 
@@ -252,6 +275,27 @@ class TestDiagnostics:
         assert phases["stack"] > 0 and phases["factorize"] > 0
         assert phases["refine"] == 0.0  # float64 run: no refinement
         assert diag["total_s"] > 0
+
+    def test_smoother_reports_cache_stats(self):
+        probs = workload([5, 6])
+        cache = PlanCache()
+        sm = repro.BatchSmoother()
+        cfg = repro.EstimatorConfig(plan_cache=cache)
+        sm.smooth_many(probs, config=cfg)
+        sm.smooth_many(probs, config=cfg)
+        assert sm.last_diagnostics["plan_cache"] == {
+            "hit": True,
+            **cache.stats(),
+        }
+        assert cache.stats()["hits"] == 1
+        assert cache.stats()["misses"] == 1
+
+    def test_smooth_many_rejects_a_disabled_cache(self):
+        """Every call plans; ``plan_cache=False`` is no longer a mode."""
+        with pytest.raises(TypeError, match="PlanCache"):
+            repro.BatchSmoother().smooth_many(
+                workload([4]), config=repro.EstimatorConfig(plan_cache=False)
+            )
 
 
 class TestMixedPrecision:

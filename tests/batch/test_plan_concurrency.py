@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.batch.plan import PlanCache, workload_key
+from repro.batch.plan import PlanCache, build_plan, workload_key
 from repro.model.generators import random_problem
 
 
@@ -117,6 +117,24 @@ class TestThreadedReplayBitIdentical:
                 w, config=repro.EstimatorConfig(plan_cache=PlanCache())
             )
             assert_identical(want, got[t])
+
+    def test_threads_share_one_unchanged_plan(self):
+        """Threads replay the cached plan object itself: every round
+        hits, and afterwards the entry is still the warmed plan, equal
+        to a fresh build."""
+        workloads = [workload([5, 8, 6], seed0=31 * t) for t in range(4)]
+        cache = PlanCache()
+        repro.BatchSmoother().smooth_many(
+            workloads[0], config=repro.EstimatorConfig(plan_cache=cache)
+        )
+        key = workload_key(workloads[0])
+        plan = cache.get(key)
+        run_threaded(workloads, cache, rounds=3)
+        assert cache.get(key) is plan
+        assert plan == build_plan(workloads[0])
+        stats = cache.stats()
+        assert (stats["size"], stats["misses"]) == (1, 1)
+        assert stats["hits"] == 4 * 3
 
     def test_mixed_precision_threads(self):
         """The float32/refined path shares plans across threads too."""

@@ -86,6 +86,24 @@ class TestSignatureAndBuckets:
         ]
         assert len(bucket_problems(problems)) == 2
 
+    def test_members_are_padded_at_call_time(self):
+        """A bucket records lengths only; ``members`` pads each problem
+        to the bucket length when asked and leaves the inputs alone."""
+        problems = [
+            random_problem(k=k, seed=k, dims=3) for k in (5, 7, 4)
+        ]
+        lengths = [p.n_states for p in problems]
+        (bucket,) = bucket_problems(problems)
+        members = bucket.members(problems)
+        assert [m.n_states for m in members] == [bucket.n_states] * 3
+        for i, member in zip(bucket.indices, members):
+            if lengths[i] == bucket.n_states:
+                assert member is problems[i]  # nothing to pad
+        assert [p.n_states for p in problems] == lengths
+        assert bucket.n_states_orig == tuple(
+            lengths[i] for i in bucket.indices
+        )
+
 
 class TestStackWhitened:
     def test_matches_per_problem_whitening(self):
