@@ -57,11 +57,7 @@ from ..core.solve import oddeven_back_substitute, oddeven_rt_solve
 from ..kalman.result import SmootherResult
 from ..linalg.triangular import instrumented_matvec, mat_transpose
 from ..linalg.xp import get_namespace, to_host
-from ..model.problem import (
-    StateSpaceProblem,
-    WhitenedProblem,
-    WhitenedStep,
-)
+from ..model.problem import StateSpaceProblem, WhitenedProblem
 from ..parallel.backend import Backend
 from .associative import batched_associative_smooth
 from .plan import build_plan, workload_key
@@ -74,22 +70,10 @@ _ASSOCIATIVE = "the batched associative smoother"
 
 
 def _cast_white(white: WhitenedProblem, dtype) -> WhitenedProblem:
-    """Copy of a whitened problem with every block cast to ``dtype``."""
-    steps = []
-    for ws in white.steps:
-        xp = get_namespace(ws.C)
-        step = WhitenedStep(
-            index=ws.index,
-            n=ws.n,
-            C=xp.astype(ws.C, dtype),
-            rhs_C=xp.astype(ws.rhs_C, dtype),
-        )
-        if ws.B is not None:
-            step.B = xp.astype(ws.B, dtype)
-            step.D = xp.astype(ws.D, dtype)
-            step.rhs_BD = xp.astype(ws.rhs_BD, dtype)
-        steps.append(step)
-    return WhitenedProblem(steps=steps)
+    """Copy of a whitened problem with every stack cast to ``dtype``."""
+    return white.map_stacks(
+        lambda stack: get_namespace(stack).astype(stack, dtype)
+    )
 
 
 def _white_to_backend(
@@ -97,24 +81,10 @@ def _white_to_backend(
 ) -> WhitenedProblem:
     """Move a host-stacked whitened problem onto an array backend.
 
-    Stacking always runs in numpy; each bucket crosses to the selected
+    Stacking always runs in numpy; each stack crosses to the selected
     backend once, here, before the factorization.
     """
-    conv = array_backend.from_numpy
-    steps = []
-    for ws in white.steps:
-        step = WhitenedStep(
-            index=ws.index,
-            n=ws.n,
-            C=conv(ws.C),
-            rhs_C=conv(ws.rhs_C),
-        )
-        if ws.B is not None:
-            step.B = conv(ws.B)
-            step.D = conv(ws.D)
-            step.rhs_BD = conv(ws.rhs_BD)
-        steps.append(step)
-    return WhitenedProblem(steps=steps)
+    return white.map_stacks(array_backend.from_numpy)
 
 
 def _residuals(

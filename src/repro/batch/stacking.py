@@ -21,9 +21,10 @@ step.  This module turns an arbitrary mixed workload into such stacks:
    group as a :class:`Bucket`: member indices, real lengths and the
    padded length.  A bucket holds no problems or arrays;
    :meth:`Bucket.members` pads its members when they are stacked.
-4. :func:`stack_whitened` whitens each problem of a group and stacks
-   the whitened blocks on the leading batch axis (the convention in
-   :mod:`repro.batch`), yielding the batched
+4. :func:`stack_whitened` whitens a group's blocks in one stacked call
+   per block shape, across every member and step, and keeps them as
+   per-shape stacks with the batch axis after the group axis (the
+   convention in :mod:`repro.batch`): the batched
    :class:`~repro.model.problem.WhitenedProblem` the odd-even
    factorization consumes directly.
 """
@@ -33,14 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from ..linalg.cholesky import Whitener, stack_whiten
-from ..model.problem import (
-    StateSpaceProblem,
-    WhitenedProblem,
-    WhitenedStep,
-)
+from ..model.problem import StateSpaceProblem, WhitenedProblem, whiten_problems
 from ..model.steps import Evolution, Step
 
 __all__ = [
@@ -194,124 +189,23 @@ def bucket_problems(
     return buckets
 
 
-def _row_whitener(pieces: list[Whitener], pad_rows: int = 0) -> Whitener:
-    """One whitener covering stacked row blocks (block-diagonal factor).
-
-    ``pad_rows`` extra unit-covariance rows cover the zero-padding that
-    aligns observation row counts across a stack (zero rows whiten to
-    zero rows under any unit factor).
-    """
-    if pad_rows:
-        pieces = pieces + [Whitener.identity(pad_rows)]
-    if len(pieces) == 1:
-        return pieces[0]
-    rows = sum(w.dim for w in pieces)
-    if all(w.is_unit for w in pieces):
-        return Whitener.identity(rows)
-    return Whitener(
-        block_diag(*[w.factor_matrix() for w in pieces]),
-        kind="factor",
-        what="stacked row covariance",
-    )
-
-
 def stack_whitened(problems: list[StateSpaceProblem]) -> WhitenedProblem:
     """Whiten and stack all problems on a leading batch axis — batched.
 
     All problems must share one :func:`structure_signature` (callers go
-    through :func:`bucket_problems` and :meth:`Bucket.members`).  The
-    result is a :class:`WhitenedProblem` whose steps hold
-    ``(B, rows, cols)`` blocks and ``(B, rows)`` right-hand sides — the
-    batched input form of
-    :func:`repro.core.oddeven_qr.oddeven_factorize`.
+    through :func:`bucket_problems` and :meth:`Bucket.members`);
+    otherwise a ``ValueError`` is raised.  The result is a
+    :class:`WhitenedProblem` whose per-shape stacks carry the batch
+    axis after the group axis (``(S, B, rows, cols)``) — the batched
+    input form of :func:`repro.core.oddeven_qr.oddeven_factorize`.
 
-    Unlike ``B`` separate :meth:`StateSpaceProblem.whiten` calls (which
-    would dominate the batched smoother's runtime with thousands of
-    tiny triangular solves), this stacks the *raw* blocks first and
-    whitens each step's observation and evolution rows with one
-    batched solve across the whole stack
-    (:func:`repro.linalg.cholesky.stack_whiten`); slice ``b`` equals
-    ``problems[b].whiten()`` to roundoff.
+    Every block of every member is whitened by its own whitener, in one
+    stacked call per block shape across all members and steps
+    (:func:`~repro.model.problem.whiten_problems`), in float64.  Short
+    observation blocks are padded with zero rows after whitening.
+    Member ``b``'s slice equals ``problems[b].whiten()`` of float64 data
+    bit for bit wherever their observation row counts agree.
     """
     if not problems:
         raise ValueError("cannot stack an empty problem list")
-    sigs = {structure_signature(p) for p in problems}
-    if len(sigs) != 1:
-        raise ValueError(
-            "problems in one stack must share a structure signature; "
-            "run bucket_problems first"
-        )
-    batch = len(problems)
-    steps: list[WhitenedStep] = []
-    for i in range(problems[0].n_states):
-        step0 = problems[0].steps[i]
-        n = step0.state_dim
-        # ---- observation rows (prior folded into step 0) ----
-        # Row counts may differ across the stack; shorter blocks are
-        # zero-padded to the per-step maximum, which is exact (a zero
-        # row constrains nothing and contributes no residual).
-        obs_pieces: list[list] = []
-        for p in problems:
-            pieces = []
-            if i == 0 and p.prior is not None:
-                pieces.append(p.prior.as_observation())
-            if p.steps[i].observation is not None:
-                pieces.append(p.steps[i].observation)
-            obs_pieces.append(pieces)
-        row_counts = [
-            sum(ob.rows for ob in pieces) for pieces in obs_pieces
-        ]
-        max_rows = max(row_counts)
-        if max_rows:
-            raws = np.zeros((batch, max_rows, n + 1))
-            whiteners: list[Whitener] = []
-            for b, pieces in enumerate(obs_pieces):
-                if pieces:
-                    raws[b, : row_counts[b]] = np.concatenate(
-                        [
-                            np.concatenate([ob.G, ob.o[:, None]], axis=1)
-                            for ob in pieces
-                        ],
-                        axis=0,
-                    )
-                whiteners.append(
-                    _row_whitener(
-                        [ob.L for ob in pieces],
-                        pad_rows=max_rows - row_counts[b],
-                    )
-                )
-            white = stack_whiten(whiteners, raws)
-            step = WhitenedStep(
-                index=i, n=n, C=white[..., :n], rhs_C=white[..., n]
-            )
-        else:
-            step = WhitenedStep(
-                index=i,
-                n=n,
-                C=np.zeros((batch, 0, n)),
-                rhs_C=np.zeros((batch, 0)),
-            )
-        # ---- evolution rows ----
-        if i > 0:
-            n_prev = step0.evolution.prev_dim
-            raw_evo = np.stack(
-                [
-                    np.concatenate(
-                        [
-                            p.steps[i].evolution.F,
-                            p.steps[i].evolution.H,
-                            p.steps[i].evolution.c[:, None],
-                        ],
-                        axis=1,
-                    )
-                    for p in problems
-                ]
-            )
-            white_evo = stack_whiten(
-                [p.steps[i].evolution.K for p in problems], raw_evo
-            )
-            step.B = white_evo[..., :n_prev]
-            step.D = white_evo[..., n_prev : n_prev + n]
-            step.rhs_BD = white_evo[..., -1]
-        steps.append(step)
-    return WhitenedProblem(steps=steps)
+    return whiten_problems(problems, np.float64)

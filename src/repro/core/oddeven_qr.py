@@ -39,9 +39,12 @@ same code eliminates one sequence (2-D blocks, RHS vectors of shape
 block structure (3-D ``(B, rows, cols)`` blocks, RHS arrays of shape
 ``(B, rows)``): the group and batch axes flatten into one stack axis.
 In the batched case the accumulated ``residual_sq`` is a ``(B,)`` array
-(one residual per sequence).  The execution backend does not run the
-stages; a recording backend receives each column's kernel costs, so
-the task graph it records is the per-column one of the paper.
+(one residual per sequence).  Level 0 reads its blocks straight from
+the whitened problem's per-shape stacks
+(:class:`~repro.model.problem.WhitenedProblem`).  The execution
+backend does not run the stages; a recording backend receives each
+column's kernel costs, so the task graph it records is the per-column
+one of the paper.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from ..linalg.xp import get_namespace
 from ..model.problem import StateSpaceProblem, WhitenedProblem
 from ..parallel.backend import Backend, SerialBackend
 from .rfactor import OddEvenR, RBlockRow
-from .stacked import Ref, by_shape, gather, group_by, stacked
+from .stacked import Ref, gather, group_by, stacked
 
 __all__ = ["oddeven_factorize", "OddEvenLevelStats"]
 
@@ -421,14 +424,16 @@ class _Engine:
     """State shared by the levels of one factorization."""
 
     def __init__(self, white: WhitenedProblem, backend: Backend):
-        first = white.steps[0].C
+        # The stack holding step 0's observation rows sets the working
+        # dtype, as step 0's block would.
+        first = white.obs[0][1]
         self.xp = get_namespace(first)
         self.dtype = first.dtype
-        self.batch_shape = tuple(first.shape[:-2])
+        self.batch_shape = tuple(first.shape[1:-2])
         #: sequences per block (1 for a single sequence)
         self.slices = batch_count(self.batch_shape)
         self.backend = backend
-        self.factor = OddEvenR(dims=[ws.n for ws in white.steps])
+        self.factor = OddEvenR(dims=white.state_dims)
 
     def zeros(self, shape: tuple):
         return self.xp.zeros(shape, dtype=self.dtype)
@@ -477,23 +482,20 @@ class _Engine:
 def _level_zero(white: WhitenedProblem) -> tuple[list, list]:
     """The whitened blocks as level-0 columns and coupling rows.
 
-    Each field is stacked once per block shape, so level 0 gathers its
-    groups as views; the stacks die with level 0.
+    Each column refers to a slice of the whitened problem's per-shape
+    stacks, so level 0 gathers its groups as views of them; only the
+    evolution blocks are negated, once per stack.
     """
-    steps, rest = white.steps, white.steps[1:]
-    c = by_shape([s.C for s in steps])
-    rhs_c = by_shape([s.rhs_C for s in steps])
-    nb = by_shape([s.B for s in rest], negate=True)
-    d = by_shape([s.D for s in rest])
-    rhs_e = by_shape([s.rhs_BD for s in rest])
-    columns = [
-        _Column(s.index, s.n, s.C.shape[-2], c[i], rhs_c[i])
-        for i, s in enumerate(steps)
-    ]
-    evos: list = [None] + [
-        _EvoRows(s.B.shape[-2], nb[i], d[i], rhs_e[i])
-        for i, s in enumerate(rest)
-    ]
+    columns: list = [None] * len(white.dims)
+    evos: list = [None] * len(white.dims)
+    for steps, c, rhs in white.observation_blocks():
+        rows = c.shape[-2]
+        for s, i in enumerate(steps):
+            columns[i] = _Column(i, white.dims[i], rows, (c, s), (rhs, s))
+    for steps, b, d, rhs in white.evolution_blocks():
+        nb, rows = -b, b.shape[-2]
+        for s, i in enumerate(steps):
+            evos[i] = _EvoRows(rows, (nb, s), (d, s), (rhs, s))
     return columns, evos
 
 
@@ -508,9 +510,8 @@ def oddeven_factorize(
     problem:
         A :class:`~repro.model.problem.StateSpaceProblem` (whitened
         internally) or an already-whitened problem.  A whitened problem
-        whose blocks carry a leading batch axis (``(B, rows, cols)``
-        blocks, ``(B, rows)`` RHS — see :mod:`repro.batch`) factors all
-        ``B`` sequences at once.
+        whose stacks carry a batch axis (``(S, B, rows, cols)`` — see
+        :mod:`repro.batch`) factors all ``B`` sequences at once.
     backend:
         Receives each stage's per-column kernel costs (one
         ``parallel_for`` phase per stage of each level); the stages

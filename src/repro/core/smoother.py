@@ -78,9 +78,10 @@ class OddEvenSmoother(SmootherBase):
     prior on the initial state is required; rectangular ``H_i`` are
     supported; the noise covariances ``K_i``/``L_i`` must be
     nonsingular (they are whitened by Cholesky).  A NaN or infinite
-    value in ``F``, ``H``, ``c``, ``G``, ``o`` or the prior mean raises
-    ``ValueError`` naming its step and field (found by a scan that runs
-    only once the solve has produced a non-finite value).
+    value in ``F``, ``H``, ``c``, ``G``, ``o``, the prior mean or a
+    covariance factor raises ``ValueError`` naming its step and field
+    (found by a scan that runs only once the solve has produced a
+    non-finite value).
     """
 
     name = "odd-even"

@@ -20,16 +20,18 @@ Two properties hold for every stacked call:
   size, composition or chunk boundaries of its stack.
 
 Per-column values travel between stages as :data:`Ref` pairs
-``(stack, index)`` — slice ``index`` of a stacked stage output — so a
-group whose members sit at evenly spaced positions of one stack is
-gathered as a strided view instead of being copied slice by slice.
+``(stack, index)`` — slice ``index`` of a stacked stage output, or at
+level 0 of one of the whitened problem's per-shape stacks
+(:class:`~repro.model.problem.WhitenedProblem`) — so a group whose
+members sit at evenly spaced positions of one stack is gathered as a
+strided view instead of being copied slice by slice.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Callable, Hashable, Iterable, TypeVar
 
+from ..linalg.triangular import STACK_SLICES
 from ..linalg.xp import get_namespace
 
 __all__ = [
@@ -37,15 +39,9 @@ __all__ = [
     "Ref",
     "group_by",
     "stack",
-    "by_shape",
     "gather",
     "stacked",
 ]
-
-#: Most slices one stacked kernel call takes.  Uncapped, level 0 of a
-#: long sequence holds every stacked operand, orthogonal factor and
-#: result of a stage at once.
-STACK_SLICES = 128
 
 T = TypeVar("T")
 
@@ -85,24 +81,6 @@ def stack(blocks: list):
         .concatenate(blocks)
         .reshape((len(blocks),) + blocks[0].shape)
     )
-
-
-def by_shape(blocks: list, negate: bool = False) -> list[Ref]:
-    """References to ``blocks`` stacked once per distinct shape.
-
-    Level 0 reads its blocks this way, so its groups gather them as
-    strided views; ``negate`` stores ``-block`` instead.
-    """
-    shapes = [block.shape for block in blocks]
-    refs: list = [None] * len(blocks)
-    for shape in dict.fromkeys(shapes):
-        idx = [i for i, s in enumerate(shapes) if s == shape]
-        base = stack([blocks[i] for i in idx])
-        if negate:
-            base = -base
-        for i, ref in zip(idx, zip(repeat(base), range(len(idx)))):
-            refs[i] = ref
-    return refs
 
 
 def gather(members: list[Ref]):

@@ -27,6 +27,7 @@ import numpy as np
 from ..api import Capabilities, EstimatorConfig, SmootherBase
 from ..core.rfactor import BidiagonalR
 from ..core.selinv import selinv_bidiagonal
+from ..core.smoother import reject_nonfinite
 from ..linalg.householder import QRFactor
 from ..linalg.triangular import (
     check_triangular_system,
@@ -157,6 +158,10 @@ def _back_substitute(
     return [s for s in states]  # type: ignore[return-value]
 
 
+#: how non-finite-input errors name this smoother
+_NAME = "the Paige–Saunders smoother"
+
+
 class PaigeSaundersSmoother(SmootherBase):
     """Sequential QR smoother with optional covariance phase.
 
@@ -167,6 +172,9 @@ class PaigeSaundersSmoother(SmootherBase):
         which skips the SelInv phase entirely — the configuration used
         inside Levenberg–Marquardt nonlinear smoothing.  A per-call
         :class:`~repro.api.EstimatorConfig` overrides it.
+
+    Non-finite data raises ``ValueError`` naming its step and field, as
+    in :class:`~repro.core.smoother.OddEvenSmoother`.
     """
 
     name = "paige-saunders"
@@ -184,20 +192,28 @@ class PaigeSaundersSmoother(SmootherBase):
     ) -> SmootherResult:
         backend = config.backend
         want_cov = config.compute_covariance
-        factor = paige_saunders_factorize(problem, backend)
-        means = _back_substitute(factor, backend)
-        covs = None
-        if want_cov:
-            covs_holder: dict[str, list[np.ndarray]] = {}
+        try:
+            factor = paige_saunders_factorize(problem, backend)
+            means = _back_substitute(factor, backend)
+            covs = None
+            if want_cov:
+                covs_holder: dict[str, list[np.ndarray]] = {}
 
-            def cov_phase(_i: int) -> None:
-                covs_holder["covs"] = list(
-                    selinv_bidiagonal(factor).diagonal
-                )
+                def cov_phase(_i: int) -> None:
+                    covs_holder["covs"] = list(
+                        selinv_bidiagonal(factor).diagonal
+                    )
 
-            # SelInv's sweep is a dependency chain: record it serial.
-            backend.serial_for(1, cov_phase, phase="paige-saunders/selinv")
-            covs = covs_holder["covs"]
+                # SelInv's sweep is a dependency chain: record it serial.
+                backend.serial_for(1, cov_phase, phase="paige-saunders/selinv")
+                covs = covs_holder["covs"]
+        except np.linalg.LinAlgError as exc:
+            # A singular or non-finite diagonal is often non-finite
+            # input: name it instead.
+            reject_nonfinite([problem], exc, smoother=_NAME)
+            raise
+        if not np.isfinite(factor.residual_sq):
+            reject_nonfinite([problem], None, smoother=_NAME)
         return SmootherResult(
             means=means,
             covariances=covs,

@@ -24,7 +24,7 @@ from scipy.linalg import cholesky as _cholesky, get_lapack_funcs
 
 from ..parallel.tally import add_cost
 from .flops import cholesky_flops, trsm_bytes, trsm_flops
-from .triangular import as_working_dtype, solve_lower
+from .triangular import STACK_SLICES, as_working_dtype, solve_lower
 from .xp import get_namespace
 
 __all__ = [
@@ -45,9 +45,10 @@ def whiten_packed(
     Packs the blocks column-wise, applies :meth:`Whitener.whiten`
     once, and re-splits to the input shapes (1-D blocks are packed as
     single columns and come back 1-D).  Whitening is column-wise, so
-    the result equals whitening each block separately — this is the
-    shared hot-path idiom of the incremental filter and
-    ``StateSpaceProblem.whiten``.
+    the result equals whitening each block separately.  The incremental
+    filter (:mod:`repro.kalman.ultimate`) whitens one step at a time
+    this way; whole problems are whitened in stacks
+    (:func:`stack_whiten`).
     """
     cols: list[np.ndarray] = []
     widths: list[int | None] = []
@@ -97,7 +98,9 @@ def spd_cholesky(
     Raises a :class:`numpy.linalg.LinAlgError` with a descriptive
     message when ``a`` is not symmetric positive definite; the paper's
     algorithms require nonsingular noise covariances (§2.2: the
-    QR-based methods cannot handle singular ``K_i``/``L_i``).
+    QR-based methods cannot handle singular ``K_i``/``L_i``).  When
+    either check fails on a NaN or infinite entry, the error says the
+    matrix "has a non-finite entry" instead.
 
     An ``(N, n, n)`` stack is checked with the same symmetry tolerance
     and factored by the same LAPACK ``potrf`` as a single matrix, so
@@ -114,18 +117,20 @@ def spd_cholesky(
     if a.shape[0] == 0:
         return np.zeros((0, 0), dtype=a.dtype)
     if not np.allclose(a, a.T, rtol=1e-10, atol=1e-12):
-        raise np.linalg.LinAlgError(f"{what} must be symmetric")
+        raise np.linalg.LinAlgError(
+            f"{what} {_NONFINITE}"
+            if not np.isfinite(a).all()
+            else f"{what} must be symmetric"
+        )
     try:
         factor = _cholesky(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rewrapped below
-        raise np.linalg.LinAlgError(
-            f"{what} is not positive definite: {exc}; the QR-based "
-            "smoothers require nonsingular noise covariances"
-        ) from exc
     except Exception as exc:
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError(f"{what} {_NONFINITE}") from exc
+        detail = f": {exc}" if isinstance(exc, np.linalg.LinAlgError) else ""
         raise np.linalg.LinAlgError(
-            f"{what} is not positive definite; the QR-based smoothers "
-            "require nonsingular noise covariances"
+            f"{what} is not positive definite{detail}; the QR-based "
+            "smoothers require nonsingular noise covariances"
         ) from exc
     add_cost(cholesky_flops(a.shape[0]))
     return factor
@@ -143,6 +148,7 @@ def _spd_cholesky_stack(
         axis=(1, 2)
     )
     if not symmetric.all():
+        _raise_nonfinite(a, what, names)
         raise _slice_error("must be symmetric", what, ~symmetric, names)
     # scipy.linalg.cholesky calls this same potrf wrapper on a single
     # matrix; each slice is Fortran-ordered like the factor it returns.
@@ -153,6 +159,7 @@ def _spd_cholesky_stack(
         factor[b], info = potrf(slice_b, lower=True, clean=True)
         failed[b] = info != 0
     if failed.any():
+        _raise_nonfinite(a, what, names)
         raise _slice_error(
             "is not positive definite; the QR-based smoothers require "
             "nonsingular noise covariances",
@@ -162,6 +169,20 @@ def _spd_cholesky_stack(
         )
     add_cost(a.shape[0] * cholesky_flops(a.shape[1]))
     return factor
+
+
+#: how :func:`spd_cholesky` names a covariance that failed on a NaN or
+#: infinite entry (its symmetry or definiteness is then meaningless)
+_NONFINITE = "has a non-finite entry"
+
+
+def _raise_nonfinite(
+    a: np.ndarray, what: str, names: Sequence[str] | None
+) -> None:
+    """Raise naming every slice of ``a`` that holds a non-finite entry."""
+    bad = ~np.isfinite(a).all(axis=(1, 2))
+    if bad.any():
+        raise _slice_error(_NONFINITE, what, bad, names)
 
 
 def _slice_error(
@@ -223,7 +244,7 @@ class Whitener:
             factor = as_working_dtype(np.asarray(cov))
             if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
                 raise ValueError("factor must be square")
-            if (factor.diagonal() <= 0).any():
+            if not (factor.diagonal() > 0).all():
                 raise np.linalg.LinAlgError(
                     f"{what} factor must have positive diagonal"
                 )
@@ -301,9 +322,7 @@ class Whitener:
     def factor_matrix(self) -> np.ndarray:
         """The lower Cholesky factor ``S`` as an explicit matrix.
 
-        Identity/scaled-identity whiteners materialize ``scale * I`` so
-        heterogeneous stacks can be whitened with one batched solve
-        (see :func:`stack_whiten`).
+        Identity/scaled-identity whiteners materialize ``scale * I``.
         """
         if self._factor is not None:
             return self._factor
@@ -312,62 +331,61 @@ class Whitener:
 
 
 def stack_whiten(
-    whiteners: list[Whitener], block_stack: np.ndarray
+    whiteners: Sequence[Whitener], stack: np.ndarray
 ) -> np.ndarray:
-    """Whiten a ``(B, rows, cols)`` stack, one whitener per slice.
+    """Whiten slice ``b`` of a ``(S, rows, cols)`` stack by ``whiteners[b]``.
 
-    This is the batched counterpart of ``B`` separate
-    :meth:`Whitener.whiten` calls: when any slice carries a real
-    Cholesky factor the whole stack goes through *one* batched
-    triangular solve (identity slices contribute ``scale * I``
-    factors); when every whitener is an (optionally scaled) identity
-    the stack is just scaled.  Slice ``b`` of the result equals
-    ``whiteners[b].whiten(block_stack[b])`` to roundoff.
+    Each slice takes the kernel its own whitener selects: nothing for a
+    unit covariance, one division for a scaled identity, and for the
+    slices that carry a Cholesky factor one batched triangular solve
+    per :data:`~repro.linalg.triangular.STACK_SLICES` of them.  Slice
+    ``b`` therefore depends on ``stack[b]`` and ``whiteners[b]`` alone:
+    it equals ``whiteners[b].whiten(stack[b])`` exactly for the
+    identity kinds and to roundoff for a factor (a batched general
+    solve stands in for the 2-D triangular one), and each slice is
+    charged what that call charges.
+
+    ``stack`` is a host array the caller has just built and owns; it is
+    whitened in place and returned, so unit slices cost no copy.
     """
-    block_stack = as_working_dtype(block_stack)
-    if block_stack.ndim != 3:
+    if stack.ndim != 3:
         raise ValueError(
-            f"expected a (B, rows, cols) stack, got {block_stack.shape}"
+            f"expected a (S, rows, cols) stack, got {stack.shape}"
         )
-    if block_stack.shape[0] != len(whiteners):
+    count, rows, cols = stack.shape
+    if count != len(whiteners):
         raise ValueError(
             f"{len(whiteners)} whiteners cannot whiten a stack of "
-            f"{block_stack.shape[0]} slices"
+            f"{count} slices"
         )
-    rows = block_stack.shape[1]
-    for w in whiteners:
+    scaled, scales, solved, factors = [], [], [], []
+    for b, w in enumerate(whiteners):
         if w.dim != rows:
             raise ValueError(
                 f"cannot whiten {rows} rows with a dimension-{w.dim} "
                 f"{w.what} whitener"
             )
-    xp = get_namespace(block_stack)
-    if not whiteners or rows == 0 or block_stack.shape[2] == 0:
-        return xp.copy(block_stack)
-    if all(w._factor is None for w in whiteners):
-        # Scale uniformity is decided on the host list; only the
-        # actual scaling touches the (possibly foreign) stack.
-        host_scales = np.array(
-            [
-                w.scale if w.kind == "scaled_identity" else 1.0
-                for w in whiteners
-            ],
-            dtype=np.float64,
+        if w._factor is not None:
+            solved.append(b)
+            factors.append(w._factor)
+        elif not w.is_unit:
+            scaled.append(b)
+            scales.append(w.scale)
+    if rows == 0 or cols == 0:
+        return stack
+    if scaled:
+        add_cost(
+            float(len(scaled)) * rows * cols,
+            len(scaled) * trsm_bytes(rows, cols),
         )
-        if np.all(host_scales == 1.0):
-            return xp.copy(block_stack)
-        b, k = block_stack.shape[0], block_stack.shape[2]
-        add_cost(float(b) * rows * k, b * trsm_bytes(rows, k))
-        scales = xp.astype(
-            xp.asarray(host_scales), block_stack.dtype, copy=False
+        stack[scaled] /= np.asarray(scales, dtype=stack.dtype)[:, None, None]
+    for lo in range(0, len(solved), STACK_SLICES):
+        part = solved[lo : lo + STACK_SLICES]
+        factor = np.stack(factors[lo : lo + STACK_SLICES])
+        stack[part] = solve_lower(
+            factor.astype(stack.dtype, copy=False), stack[part]
         )
-        return block_stack / scales[:, None, None]
-    factors = xp.astype(
-        xp.asarray(np.stack([w.factor_matrix() for w in whiteners])),
-        block_stack.dtype,
-        copy=False,
-    )
-    return solve_lower(factors, block_stack)
+    return stack
 
 
 def whiten_each(factors: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -376,7 +394,7 @@ def whiten_each(factors: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     With ``factors = spd_cholesky(covs)``, row ``b`` of the result is,
     bit for bit, what ``Whitener(covs[b]).whiten(vectors[b])`` returns:
     the same LAPACK triangular solve, one slice at a time.
-    (:func:`stack_whiten` instead solves the whole stack with one
+    (:func:`stack_whiten` instead solves its factor slices with one
     batched general solve, which is faster but rounds differently.)
     """
     vectors = as_working_dtype(vectors)

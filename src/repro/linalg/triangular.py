@@ -20,6 +20,7 @@ from .flops import matmul_bytes, matmul_flops, trsm_bytes, trsm_flops
 from .xp import backend_of, get_namespace, to_host
 
 __all__ = [
+    "STACK_SLICES",
     "as_working_dtype",
     "solve_upper",
     "solve_lower",
@@ -32,6 +33,14 @@ __all__ = [
     "mat_transpose",
     "batch_count",
 ]
+
+
+#: Most slices one stacked kernel call takes, in the odd-even engine
+#: (:mod:`repro.core.stacked`) and in stacked whitening
+#: (:func:`repro.linalg.cholesky.stack_whiten`).  Uncapped, level 0 of a
+#: long sequence would hold every stacked operand, orthogonal factor and
+#: result of a stage at once.
+STACK_SLICES = 128
 
 
 def as_working_dtype(a) -> np.ndarray:

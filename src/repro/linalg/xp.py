@@ -1,9 +1,9 @@
 """Array-namespace shim for the stacked (batched) kernels.
 
-Every stacked kernel — batched Householder QR, stacked whitening,
-broadcast triangular solves, the batch axes of odd-even Stage A/B/C,
-back-substitution, SelInv, and the associative-scan element algebra —
-routes its array calls through a *namespace* obtained from
+Every stacked kernel — batched Householder QR, broadcast triangular
+solves, the batch axes of odd-even Stage A/B/C, back-substitution,
+SelInv, and the associative-scan element algebra — routes its array
+calls through a *namespace* obtained from
 :func:`get_namespace` instead of a hard ``import numpy as np``.  That
 one indirection is what lets the same kernel code run on torch tensors
 when the user asks for them via ``EstimatorConfig(array_module=...)``.

@@ -6,22 +6,32 @@ whitened block rows
 
     ``C_i = W_i G_i``, ``B_i = V_i F_i``, ``D_i = V_i H_i``
 
-of the coefficient matrix ``U A`` (paper §3) via :meth:`whiten`.  The
-whitened form is the common input of the Paige–Saunders and Odd-Even
-QR smoothers; :mod:`repro.model.dense` materializes it densely as the
-test oracle.
+of the coefficient matrix ``U A`` (paper §3) via :meth:`whiten`.  Every
+block row is whitened on its own, so whitening is as parallel in time
+as the elimination: :func:`whiten_problems` whitens all blocks of one
+shape with one stacked call, for one sequence or a fleet of them.  The
+whitened form (:class:`WhitenedProblem`, per-shape stacks) is the
+common input of the Paige–Saunders and Odd-Even QR smoothers;
+:mod:`repro.model.dense` materializes it densely as the test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg.cholesky import whiten_packed
+from ..linalg.cholesky import Whitener, stack_whiten
+from ..linalg.xp import get_namespace
 from .steps import Evolution, GaussianPrior, Observation, Step
 
-__all__ = ["StateSpaceProblem", "WhitenedStep", "WhitenedProblem"]
+__all__ = [
+    "StateSpaceProblem",
+    "WhitenedStep",
+    "WhitenedProblem",
+    "whiten_problems",
+]
 
 
 @dataclass
@@ -57,23 +67,272 @@ class WhitenedStep:
         return 0 if self.B is None else self.B.shape[-2]
 
 
-@dataclass
 class WhitenedProblem:
-    """The full whitened system: one :class:`WhitenedStep` per state."""
+    """The full whitened system, held as one stack per block shape.
 
-    steps: list[WhitenedStep]
+    :attr:`obs` lists the observation rows as groups ``(steps, stack)``:
+    ``steps`` are the ascending indices of the steps whose blocks share
+    one shape, and ``stack[s]`` is step ``steps[s]``'s block packed as
+    ``[C | rhs_C]`` (``rows x (n + 1)``).  :attr:`evo` lists the
+    evolution rows of steps ``1 .. k`` the same way, packed as
+    ``[B | D | rhs_BD]``.  A stack has shape ``(S, *batch, rows,
+    cols)``: a fleet of sequences with one block structure carries its
+    batch axis after the group axis (see :mod:`repro.batch`).
+
+    The odd-even engine reads the stacks directly.  :attr:`steps` builds
+    one :class:`WhitenedStep` of views per step, on first use, for the
+    consumers that sweep step by step.  ``WhitenedProblem(steps)``
+    groups a list of :class:`WhitenedStep` once, when it is built.
+    """
+
+    def __init__(self, steps: list[WhitenedStep]):
+        xp = get_namespace(steps[0].C)
+        obs: dict = {}
+        evo: dict = {}
+        for i, ws in enumerate(steps):
+            obs.setdefault(tuple(ws.C.shape[-2:]), []).append(i)
+            if ws.B is not None:
+                key = tuple(ws.B.shape[-2:]) + (ws.D.shape[-1],)
+                evo.setdefault(key, []).append(i)
+
+        def group(members, blocks, rhs):
+            packed = [
+                xp.concatenate(
+                    [getattr(steps[i], name) for name in blocks]
+                    + [getattr(steps[i], rhs)[..., None]],
+                    axis=-1,
+                )
+                for i in members
+            ]
+            return tuple(members), xp.stack(packed)
+
+        self.dims = tuple(ws.n for ws in steps)
+        self.obs = [group(m, ["C"], "rhs_C") for m in obs.values()]
+        self.evo = [group(m, ["B", "D"], "rhs_BD") for m in evo.values()]
+
+    @classmethod
+    def from_groups(cls, dims, obs: list, evo: list) -> "WhitenedProblem":
+        """A whitened problem from its state dims and stacked groups."""
+        white = cls.__new__(cls)
+        white.dims = tuple(dims)
+        white.obs = obs
+        white.evo = evo
+        return white
+
+    def map_stacks(self, fn) -> "WhitenedProblem":
+        """The same problem with ``fn`` applied to every stack once (a
+        cast, a move to another array backend, a view)."""
+        return WhitenedProblem.from_groups(
+            self.dims,
+            [(steps, fn(stack)) for steps, stack in self.obs],
+            [(steps, fn(stack)) for steps, stack in self.evo],
+        )
+
+    def observation_blocks(self):
+        """``(steps, C, rhs_C)`` per observation group, as views."""
+        for steps, stack in self.obs:
+            n = self.dims[steps[0]]
+            yield steps, stack[..., :n], stack[..., n]
+
+    def evolution_blocks(self):
+        """``(steps, B, D, rhs_BD)`` per evolution group, as views."""
+        for steps, stack in self.evo:
+            n_prev = self.dims[steps[0] - 1]
+            b, d = stack[..., :n_prev], stack[..., n_prev:-1]
+            yield steps, b, d, stack[..., -1]
+
+    @functools.cached_property
+    def steps(self) -> list[WhitenedStep]:
+        """One :class:`WhitenedStep` of views into the stacks per step."""
+        out: list = [None] * len(self.dims)
+        for steps, c, rhs in self.observation_blocks():
+            for s, i in enumerate(steps):
+                out[i] = WhitenedStep(i, self.dims[i], c[s], rhs[s])
+        for steps, b, d, rhs in self.evolution_blocks():
+            for s, i in enumerate(steps):
+                out[i].B, out[i].D, out[i].rhs_BD = b[s], d[s], rhs[s]
+        return out
 
     @property
     def k(self) -> int:
         """Index of the last state (states are ``0 .. k``)."""
-        return len(self.steps) - 1
+        return len(self.dims) - 1
 
     @property
     def state_dims(self) -> list[int]:
-        return [s.n for s in self.steps]
+        return list(self.dims)
 
     def total_rows(self) -> int:
-        return sum(s.obs_rows + s.evo_rows for s in self.steps)
+        groups = self.obs + self.evo
+        return sum(len(steps) * stack.shape[-2] for steps, stack in groups)
+
+
+#: why :func:`whiten_problems` refuses a list of problems
+_MIXED = (
+    "problems in one stack must share a structure signature; "
+    "run bucket_problems first"
+)
+
+
+def whiten_problems(
+    problems: list["StateSpaceProblem"], dtype=None
+) -> WhitenedProblem:
+    """Whiten problems into per-shape stacks with a batch axis.
+
+    Every prior, observation and evolution block is whitened by its own
+    whitener, but all blocks of one shape go through one
+    :func:`~repro.linalg.cholesky.stack_whiten` call.  Each stack has
+    shape ``(S, len(problems), rows, cols)``: problem ``b``'s blocks
+    are slice ``b`` of the batch axis, and its bits do not depend on
+    the other problems.
+
+    The problems must share their state dimensions and evolution row
+    counts at every step.  Observation row counts may differ: a short
+    block is padded with zero rows after whitening (a ``0 · u = 0`` row
+    is exactly satisfiable, so it changes neither the estimates nor the
+    residual).  Step 0's block is assembled from the whitened prior
+    rows, when there is a prior, above the whitened observation rows.
+
+    ``dtype`` is the stacks' dtype.  ``None`` keeps the data's working
+    dtype (float32 data stays float32) and gives empty blocks the
+    promoted dtype of all the others.
+    """
+    count = len(problems)
+    dims = problems[0].state_dims
+    evo_rows = _evolution_rows(problems[0])
+    for p in problems[1:]:
+        if p.state_dims != dims or _evolution_rows(p) != evo_rows:
+            raise ValueError(_MIXED)
+    # A step's observation rows: the most of any member.
+    rows = [max(r) for r in zip(*map(_observation_rows, problems))]
+    evo_groups = [
+        (steps, _evolution_stack(problems, steps, dtype))
+        for steps in _grouped(zip(evo_rows, dims, dims[1:]), 1)
+    ]
+    obs_groups = [
+        (steps, _observation_stack(problems, steps, rows[steps[0]], dtype))
+        for steps in _grouped(zip(rows, dims), 0)
+    ]
+    if dtype is None:
+        dtypes = [a.dtype for _, a in obs_groups + evo_groups if a is not None]
+        dtype = (
+            functools.reduce(np.promote_types, dtypes)
+            if dtypes
+            else np.float64
+        )
+    obs_groups = [
+        (steps, np.zeros((len(steps), count, 0, dims[steps[0]] + 1), dtype))
+        if stack is None
+        else (steps, stack)
+        for steps, stack in obs_groups
+    ]
+    return WhitenedProblem.from_groups(dims, obs_groups, evo_groups)
+
+
+def _evolution_rows(problem: "StateSpaceProblem") -> list[int]:
+    return [step.evolution.F.shape[0] for step in problem.steps[1:]]
+
+
+def _observation_rows(problem: "StateSpaceProblem") -> list[int]:
+    """Rows of each step's observation block, the prior's in step 0's."""
+    rows = [
+        0 if step.observation is None else step.observation.G.shape[0]
+        for step in problem.steps
+    ]
+    if problem.prior is not None:
+        rows[0] += problem.prior.dim
+    return rows
+
+
+def _grouped(keys, first: int) -> list[tuple[int, ...]]:
+    """Steps ``first, first + 1, ...`` grouped by their ``keys``, in
+    order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys, first):
+        groups.setdefault(key, []).append(i)
+    return [tuple(steps) for steps in groups.values()]
+
+
+def _whitened(whiteners: list[Whitener], dtype, *columns) -> np.ndarray:
+    """The raw blocks of ``len(whiteners)`` pieces, stacked and whitened.
+
+    Each of ``columns`` lists one block column of every piece —
+    matrices, or vectors that become one column — and the pieces' raw
+    blocks ``[M_1 | ... | v]`` are whitened in place.
+    """
+    count = len(whiteners)
+    parts = []
+    for blocks in columns:
+        flat = np.concatenate(blocks)
+        width = flat.shape[1] if flat.ndim == 2 else 1
+        parts.append(flat.reshape(count, -1, width))
+    raw = np.concatenate(parts, axis=-1, dtype=dtype)
+    return stack_whiten(whiteners, raw)
+
+
+def _whitened_observations(obs: list, dtype) -> np.ndarray:
+    """The ``[G | o]`` blocks of observations, stacked and whitened."""
+    return _whitened(
+        [ob.L for ob in obs], dtype, [ob.G for ob in obs], [ob.o for ob in obs]
+    )
+
+
+def _evolution_stack(problems: list, steps: tuple, dtype) -> np.ndarray:
+    """The whitened ``[B | D | rhs_BD]`` stack of one evolution group."""
+    evos = [p.steps[i].evolution for i in steps for p in problems]
+    white = _whitened(
+        [e.K for e in evos],
+        dtype,
+        [e.F for e in evos],
+        [e.H for e in evos],
+        [e.c for e in evos],
+    )
+    return white.reshape((len(steps), len(problems)) + white.shape[1:])
+
+
+def _observation_stack(
+    problems: list, steps: tuple, rows: int, dtype
+) -> np.ndarray | None:
+    """The whitened ``[C | rhs_C]`` stack of one observation group.
+
+    ``None`` for a group without rows.  When every block of the group is
+    one observation that fills its rows, the raw stack is whitened in
+    place.  Otherwise the pieces at each row offset — the prior's rows,
+    then the observation's — are whitened as one stack and copied into a
+    zero stack, which leaves short blocks padded with zero rows.
+    """
+    if not rows:
+        return None
+    count = len(problems)
+    n = problems[0].steps[steps[0]].state_dim
+    shape = (len(steps), count, rows, n + 1)
+    obs = [p.steps[i].observation for i in steps for p in problems]
+    prior = steps[0] == 0 and any(p.prior is not None for p in problems)
+    if not prior and all(
+        ob is not None and ob.G.shape[0] == rows for ob in obs
+    ):
+        return _whitened_observations(obs, dtype).reshape(shape)
+    slots: dict = {}
+    for at, ob in enumerate(obs):
+        s, b = divmod(at, count)
+        pieces = [ob] if ob is not None else []
+        if steps[s] == 0 and problems[b].prior is not None:
+            pieces.insert(0, problems[b].prior.as_observation())
+        offset = 0
+        for piece in pieces:
+            slots.setdefault((offset, piece.rows), []).append((s, b, piece))
+            offset += piece.rows
+    parts = []
+    for (offset, piece_rows), members in slots.items():
+        white = _whitened_observations([ob for _, _, ob in members], dtype)
+        where = ([s for s, _, _ in members], [b for _, b, _ in members])
+        parts.append((where + (slice(offset, offset + piece_rows),), white))
+    out = np.zeros(
+        shape, functools.reduce(np.promote_types, [w.dtype for _, w in parts])
+    )
+    for where, white in parts:
+        out[where] = white
+    return out
 
 
 class StateSpaceProblem:
@@ -151,14 +410,19 @@ class StateSpaceProblem:
     def nonfinite_field(self) -> str | None:
         """Name the first NaN or infinite value of the problem's data.
 
-        Scans the prior mean, then each step's evolution ``F``, ``H``,
-        ``c`` and observation ``G``, ``o``, and returns e.g. ``"step 6
-        has a non-finite observation o"``, or ``None`` when all are
-        finite.  Smoothers call it only after a non-finite result, so a
-        healthy solve never pays for the scan.
+        Scans the prior mean and covariance factor, then each step's
+        evolution ``F``, ``H``, ``c``, ``K`` and observation ``G``,
+        ``o``, ``L`` (covariances by their whiteners' factors), and
+        returns e.g. ``"step 6 has a non-finite observation o"``, or
+        ``None`` when all are finite.  Smoothers call it only after a
+        non-finite result, so a healthy solve never pays for the scan.
         """
-        if self.prior is not None and not np.isfinite(self.prior.mean).all():
-            return "the prior has a non-finite mean"
+        prior = self.prior
+        if prior is not None:
+            if not np.isfinite(prior.mean).all():
+                return "the prior has a non-finite mean"
+            if not np.isfinite(prior.cov.factor_matrix()).all():
+                return "the prior has a non-finite covariance"
         for i, step in enumerate(self.steps):
             evo, obs = step.evolution, step.observation
             fields = []
@@ -167,10 +431,17 @@ class StateSpaceProblem:
                     ("evolution F", evo.F),
                     ("evolution H", evo.H),
                     ("evolution c", evo.c),
+                    ("evolution covariance K", evo.K),
                 ]
             if obs is not None:
-                fields += [("observation G", obs.G), ("observation o", obs.o)]
+                fields += [
+                    ("observation G", obs.G),
+                    ("observation o", obs.o),
+                    ("observation covariance L", obs.L),
+                ]
             for name, value in fields:
+                if isinstance(value, Whitener):
+                    value = value.factor_matrix()
                 if not np.isfinite(value).all():
                     return f"step {i} has a non-finite {name}"
         return None
@@ -184,40 +455,11 @@ class StateSpaceProblem:
         The prior, when present, is folded into step 0's observation
         rows (an extra ``I u_0 = mean`` block weighted by the prior
         covariance), exactly as UltimateKalman encodes known initial
-        expectations.
+        expectations.  The blocks of one shape are whitened in one
+        stacked call (:func:`whiten_problems`, here without a batch
+        axis).
         """
-        out: list[WhitenedStep] = []
-        for i, step in enumerate(self.steps):
-            n = step.state_dim
-            # Each block whitens [G | o] (resp. [F | H | c]) packed
-            # into one triangular solve instead of one per piece —
-            # the dominant cost of whitening short windows.
-            c_blocks: list[np.ndarray] = []
-            rhs_blocks: list[np.ndarray] = []
-            if i == 0 and self.prior is not None:
-                pobs = self.prior.as_observation()
-                g_w, o_w = whiten_packed(pobs.L, pobs.G, pobs.o)
-                c_blocks.append(g_w)
-                rhs_blocks.append(o_w)
-            if step.observation is not None:
-                obs = step.observation
-                g_w, o_w = whiten_packed(obs.L, obs.G, obs.o)
-                c_blocks.append(g_w)
-                rhs_blocks.append(o_w)
-            if c_blocks:
-                C = np.vstack(c_blocks)
-                rhs_C = np.concatenate(rhs_blocks)
-            else:
-                C = np.zeros((0, n))
-                rhs_C = np.zeros(0)
-            ws = WhitenedStep(index=i, n=n, C=C, rhs_C=rhs_C)
-            if i > 0:
-                evo = step.evolution
-                ws.B, ws.D, ws.rhs_BD = whiten_packed(
-                    evo.K, evo.F, evo.H, evo.c
-                )
-            out.append(ws)
-        return WhitenedProblem(steps=out)
+        return whiten_problems([self]).map_stacks(lambda stack: stack[:, 0])
 
     # ------------------------------------------------------------------
     # transformations

@@ -9,6 +9,7 @@ from repro.kalman.associative import AssociativeSmoother
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
 from repro.kalman.rts import RTSSmoother
 from repro.kalman.ultimate import UltimateKalman
+from repro.linalg.cholesky import Whitener
 from repro.model.generators import random_problem
 from repro.model.nonlinear import (
     NonlinearFunction,
@@ -266,6 +267,30 @@ class TestNaNPropagationGuard:
             BatchSmoother().smooth_many(
                 fleet, config=EstimatorConfig(dtype=dtype)
             )
+
+    @pytest.mark.parametrize("name", ["odd-even", "paige-saunders", "batch-odd-even"])
+    @pytest.mark.parametrize(
+        "field", ["observation covariance L", "evolution covariance K", "prior"]
+    )
+    def test_nonfinite_covariance_factor_is_named(self, field, name):
+        """A factor whitener holds a NaN below its diagonal; the smoother
+        names that covariance instead of a singular ``R`` block."""
+        import repro
+
+        p = random_problem(k=6, seed=5, dims=2)
+        factor = Whitener(np.array([[1.0, 0.0], [np.nan, 1.0]]), kind="factor")
+        if field == "prior":
+            p.prior.cov = factor
+            message = "the prior has a non-finite covariance"
+        else:
+            step = p.steps[3]
+            if field.startswith("observation"):
+                step.observation.L = factor
+            else:
+                step.evolution.K = factor
+            message = f"step 3 has a non-finite {field}"
+        with pytest.raises(ValueError, match=message):
+            repro.make_smoother(name).smooth(p)
 
     def test_prior_mean(self):
         p = random_problem(k=5, seed=3, dims=2)

@@ -7,6 +7,7 @@ bypassing :func:`repro.linalg.triangular.as_working_dtype`.
 """
 
 import numpy as np
+import pytest
 
 import repro
 from repro.api import EstimatorConfig
@@ -16,7 +17,8 @@ from repro.core.oddeven_qr import oddeven_factorize
 from repro.kalman.kf import kf_predict, kf_update
 from repro.kalman.paige_saunders import paige_saunders_factorize
 from repro.kalman.standard_form import StandardStep
-from repro.model.problem import WhitenedProblem, WhitenedStep
+from repro.model.problem import StateSpaceProblem, WhitenedProblem, WhitenedStep
+from repro.model.steps import Evolution, Observation, Step
 
 
 def _float32_white(k=5, dims=2, seed=3) -> WhitenedProblem:
@@ -104,3 +106,36 @@ class TestConfigDtypeOnPerSequenceSmoothers:
         again = repro.PaigeSaundersSmoother().smooth(problem)
         for a, b in zip(base.means, again.means):
             np.testing.assert_array_equal(a, b)
+
+
+class TestFloat32ProblemsSmoothInFloat32:
+    @staticmethod
+    def problem(observe_first: bool):
+        """Six float32 steps without a prior; step 0 observed or not."""
+        rng = np.random.default_rng(7)
+
+        def draw(*shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        steps = []
+        for i in range(6):
+            evo = None
+            if i:
+                f = (np.eye(2) + 0.1 * draw(2, 2)).astype(np.float32)
+                evo = Evolution(F=f, c=draw(2))
+            obs = None
+            if i or observe_first:
+                obs = Observation(G=draw(2, 2), o=draw(2))
+            steps.append(Step(state_dim=2, evolution=evo, observation=obs))
+        return StateSpaceProblem(steps)
+
+    @pytest.mark.parametrize("observe_first", [True, False])
+    def test_odd_even_keeps_float32(self, observe_first):
+        """An unobserved first step's empty block takes the problem's
+        working dtype, which the factorization then works in."""
+        problem = self.problem(observe_first)
+        assert problem.whiten().steps[0].C.dtype == np.float32
+        result = repro.make_smoother("odd-even").smooth(problem)
+        assert all(m.dtype == np.float32 for m in result.means)
+        assert all(c.dtype == np.float32 for c in result.covariances)
+

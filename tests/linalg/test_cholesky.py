@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.linalg.cholesky import Whitener, spd_cholesky, spd_solve, whiten_each
+from repro.model.steps import Evolution
 
 sizes = st.integers(min_value=1, max_value=8)
 
@@ -40,6 +41,22 @@ class TestSpdCholesky:
     def test_error_names_source(self):
         with pytest.raises(np.linalg.LinAlgError, match="covariance K"):
             spd_cholesky(-np.eye(2), what="covariance K")
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 0), np.nan), ((1, 0), np.nan), ((1, 1), -np.inf)],
+        ids=["nan-diagonal", "nan-off-diagonal", "minus-inf-diagonal"],
+    )
+    def test_nonfinite_entry_is_named_as_such(self, entry, value):
+        """A NaN fails the symmetry check and an infinite diagonal the
+        factorization; neither is asymmetry or indefiniteness."""
+        k = np.eye(2)
+        k[entry] = value
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match="evolution covariance K has a non-finite entry",
+        ):
+            Evolution(F=np.eye(2), K=k)
 
 
 class TestSpdCholeskyStack:
@@ -80,6 +97,26 @@ class TestSpdCholeskyStack:
         ) as info:
             spd_cholesky(stack, "observation covariance L", names=["step 3", "step 7"])
         assert info.value.batch_slices == [1]
+
+    def test_nonfinite_slices_are_named_as_such(self):
+        """Whichever check fails first, every non-finite slice is named
+        for that, not for asymmetry or indefiniteness."""
+        stack = np.stack([np.eye(2)] * 4)
+        stack[1, 0, 1] = 0.5  # asymmetric but finite
+        stack[2, 0, 0] = np.nan
+        stack[3, 1, 1] = -np.inf
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match="K at step 2, step 3 has a non-finite entry",
+        ) as info:
+            spd_cholesky(stack, "K", names=[f"step {i}" for i in range(4)])
+        assert info.value.batch_slices == [2, 3]
+        stack[2, 0, 0] = 1.0
+        with pytest.raises(
+            np.linalg.LinAlgError, match=r"K in batch slice\(s\) \[2\] has a"
+        ) as info:
+            spd_cholesky(stack[[0, 2, 3]].copy(), "K")
+        assert info.value.batch_slices == [2]
 
     def test_empty_and_nonsquare(self):
         assert spd_cholesky(np.zeros((0, 2, 2))).shape == (0, 2, 2)
@@ -133,6 +170,10 @@ class TestWhitener:
     def test_factor_kind_rejects_bad_diagonal(self):
         with pytest.raises(np.linalg.LinAlgError, match="positive diagonal"):
             Whitener(np.array([[0.0, 0.0], [1.0, 1.0]]), kind="factor")
+
+    def test_factor_kind_rejects_nan_diagonal(self):
+        with pytest.raises(np.linalg.LinAlgError, match="positive diagonal"):
+            Whitener(np.array([[np.nan, 0.0], [1.0, 1.0]]), kind="factor")
 
     def test_dim_mismatch_raises(self):
         w = Whitener(spd(3))
