@@ -52,7 +52,7 @@ from ..api import Capabilities, EstimatorConfig, SmootherBase
 from ..api.base import _cast_result
 from ..core.oddeven_qr import oddeven_factorize
 from ..core.selinv import selinv_oddeven
-from ..core.smoother import reject_nonfinite
+from ..core.smoother import reject_nonfinite, reject_nonfinite_outputs
 from ..core.solve import oddeven_back_substitute, oddeven_rt_solve
 from ..kalman.result import SmootherResult
 from ..linalg.triangular import instrumented_matvec, mat_transpose
@@ -498,11 +498,12 @@ class BatchSmoother(SmootherBase):
             )
             raise
         phases["scan"] += time.perf_counter() - t0
-        if not all(np.isfinite(x).all() for x in (*means, *covs)):
-            # The scans carry a non-finite input through silently.
-            reject_nonfinite(
-                members, None, indices=bucket.indices, smoother=_ASSOCIATIVE
-            )
+        reject_nonfinite_outputs(
+            members,
+            (*means, *covs),
+            indices=bucket.indices,
+            smoother=_ASSOCIATIVE,
+        )
         out = []
         for b, n_states in enumerate(bucket.n_states_orig):
             out.append(

@@ -23,8 +23,11 @@ from ..linalg.triangular import instrumented_matmul
 from ..model.problem import StateSpaceProblem, WhitenedProblem
 from ..parallel.backend import Backend
 from ..parallel.tally import add_cost
+from .smoother import reject_nonfinite, reject_nonfinite_outputs
 
 __all__ = ["NormalEquationsSmoother", "build_normal_equations"]
+
+_NAME = "the normal-equations smoother"
 
 
 def build_normal_equations(
@@ -160,7 +163,8 @@ class NormalEquationsSmoother(SmootherBase):
     Provided for the §6 stability ablation; production use should
     prefer :class:`~repro.core.smoother.OddEvenSmoother`.  The
     ``means_only`` capability flag makes any covariance request an
-    error through the canonical config path.
+    error through the canonical config path.  Non-finite data raises
+    ``ValueError`` naming its step and field.
     """
 
     name = "normal-equations"
@@ -169,9 +173,14 @@ class NormalEquationsSmoother(SmootherBase):
     def _smooth(
         self, problem: StateSpaceProblem, config: EstimatorConfig
     ) -> SmootherResult:
-        white = problem.whiten()
-        diag, sub, rhs = build_normal_equations(white)
-        means = _cyclic_reduction(diag, sub, rhs, config.backend)
+        try:
+            white = problem.whiten()
+            diag, sub, rhs = build_normal_equations(white)
+            means = _cyclic_reduction(diag, sub, rhs, config.backend)
+        except np.linalg.LinAlgError as exc:
+            reject_nonfinite([problem], exc, smoother=_NAME)
+            raise
+        reject_nonfinite_outputs([problem], means, smoother=_NAME)
         return SmootherResult(
             means=means,
             covariances=None,

@@ -41,7 +41,12 @@ block structure (3-D ``(B, rows, cols)`` blocks, RHS arrays of shape
 In the batched case the accumulated ``residual_sq`` is a ``(B,)`` array
 (one residual per sequence).  Level 0 reads its blocks straight from
 the whitened problem's per-shape stacks
-(:class:`~repro.model.problem.WhitenedProblem`).  The execution
+(:class:`~repro.model.problem.WhitenedProblem`).  The factor keeps
+the stacks too: each Stage-B group becomes one
+:class:`~repro.core.rfactor.RowGroup` of the level (its diagonals,
+left and right couplings and RHS as views of the stage's output), and
+column 0 and the base become one-row groups, so the factor holds a
+few objects per group rather than per column.  The execution
 backend does not run the stages; a recording backend receives each
 column's kernel costs, so the task graph it records is the per-column
 one of the paper.
@@ -59,7 +64,7 @@ from ..linalg.triangular import batch_count
 from ..linalg.xp import get_namespace
 from ..model.problem import StateSpaceProblem, WhitenedProblem
 from ..parallel.backend import Backend, SerialBackend
-from .rfactor import OddEvenR, RBlockRow
+from .rfactor import OddEvenR, RowGroup
 from .stacked import Ref, gather, group_by, stacked
 
 __all__ = ["oddeven_factorize", "OddEvenLevelStats"]
@@ -150,10 +155,10 @@ class _Level:
         self.dtil: dict = {}
         self.dtil_rhs: dict = {}
         self.dtil_rows: dict = {}
-        # Stage B outputs per even position: the permanent block row,
-        # next-level coupling rows, or extra observation rows for the
-        # left odd neighbour.
-        self.rows: dict = {}
+        # Stage B outputs: the level's permanent block rows as row
+        # groups, and per even position the next-level coupling rows or
+        # extra observation rows for the left odd neighbour.
+        self.groups: list = []
         self.new_evo: dict = {}
         self.extra: dict = {}
         # Squared RHS of annihilated rows per position (stage A's last
@@ -271,21 +276,22 @@ class _Level:
         Its blocks are copied out of the Stage-A stack, which would
         otherwise stay alive as long as the factor for one row's sake.
         """
-        col = self.columns[0]
+        cols = self.columns
 
         def own(ref: Ref):
             base, index = ref
-            return self.engine.xp.copy(base[index])
+            return self.engine.xp.copy(base[index : index + 1])
 
-        offdiag = []
+        couplings = ()
         if 0 in self.fill:
-            offdiag.append((self.columns[1].orig, own(self.fill[0])))
-        self.rows[0] = RBlockRow(
-            col=col.orig,
-            diag=own(self.rtil[0]),
-            offdiag=offdiag,
-            rhs=own(self.rtil_rhs[0]),
-            level=self.index,
+            couplings = ((np.array([cols[1].orig]), own(self.fill[0])),)
+        self.groups.append(
+            RowGroup(
+                np.array([cols[0].orig]),
+                own(self.rtil[0]),
+                couplings,
+                own(self.rtil_rhs[0]),
+            )
         )
 
     def _b_group(self, members, d_rows, rt_rows, n, n_left, n_right):
@@ -320,21 +326,24 @@ class _Level:
         ncap = min(n, d_rows + rt_rows)
         split = n_left + n_right
         top = applied[..., :ncap, :]
-        diags = list(r)
-        lefts = list(top[..., :n_left])
-        rights = list(top[..., n_left:split]) if n_right else None
-        r_rhs = list(top[..., -1])
-        for t, p in enumerate(members):
-            offdiag = [(cols[p - 1].orig, lefts[t])]
-            if n_right:
-                offdiag.append((cols[p + 1].orig, rights[t]))
-            self.rows[p] = RBlockRow(
-                col=cols[p].orig,
-                diag=diags[t],
-                offdiag=offdiag,
-                rhs=r_rhs[t],
-                level=self.index,
+        couplings = [
+            (np.array([cols[p - 1].orig for p in members]), top[..., :n_left])
+        ]
+        if n_right:
+            couplings.append(
+                (
+                    np.array([cols[p + 1].orig for p in members]),
+                    top[..., n_left:split],
+                )
             )
+        self.groups.append(
+            RowGroup(
+                np.array([cols[p].orig for p in members]),
+                r,
+                tuple(couplings),
+                top[..., -1],
+            )
+        )
         bottom_left = applied[..., ncap:, :n_left]
         bottom_rhs = applied[..., ncap:, -1]
         rows = d_rows + rt_rows - ncap
@@ -544,8 +553,7 @@ def oddeven_factorize(
         level.stage_b()
         new_columns = level.stage_c()
         factor.levels.append([columns[p].orig for p in level.evens])
-        for p in level.evens:
-            factor.rows[columns[p].orig] = level.rows[p]
+        factor.groups.append(level.groups)
         # Residuals add up per stage in column order, as the stages
         # would have returned them one column at a time.
         residual = residual + sum(
@@ -563,9 +571,7 @@ def oddeven_factorize(
     r, r_rhs, resid = engine.compress(
         [[base.c]], [[base.rhs]], 1, base.rows, base.n
     )
-    factor.rows[base.orig] = RBlockRow(
-        col=base.orig, diag=r[0], offdiag=[], rhs=r_rhs[0], level=level_idx
-    )
+    factor.groups.append([RowGroup(np.array([base.orig]), r, (), r_rhs)])
     backend.record_costs(
         [0],
         lambda _p: _qr_costs(engine.slices, base.rows, base.n, 1)

@@ -20,14 +20,29 @@ in ``R``.
 * :func:`selinv_oddeven` — Algorithm 2: recursion-ordered processing
   of the odd-even factor; all even columns of a level are independent
   because their ``I`` sets reference only columns of deeper levels, so
-  each level runs as stacked calls over its columns.
+  each level runs as stacked calls over its row groups
+  (:class:`~repro.core.rfactor.RowGroup`).
   ``|I| <= 2``, and the cross block ``S_{a,b}`` needed when
   ``I = {a, b}`` corresponds to consecutive columns of the next level,
   hence to an ``R``-nonzero computed by the deeper recursion — the
   structural fact that makes the paper's adaptation work.
+
+Like the solves (:mod:`repro.core.solve`), Algorithm 2 keeps its
+results in stores rather than per column: the diagonal blocks ``S_jj``
+in one array per state dimension, and the cross blocks ``S_{a,b}``
+(``a < b``) in one array per pair of dimensions ``(n_a, n_b)``.  Its
+first ``count(n_b)`` entries hold the blocks that rows ``b`` computed
+for their left coupling ``a``, at ``b``'s slot; the rest hold the
+blocks that rows ``a`` computed for their right coupling ``b``, at
+``a``'s slot.  ``S_{a,b}`` is therefore read from the entry of
+whichever of ``a`` and ``b`` was eliminated first.  Every group fetches
+and writes these blocks with one integer-index operation per coupling.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -41,8 +56,8 @@ from ..linalg.triangular import (
 from ..linalg.xp import get_namespace
 from ..parallel.backend import Backend, SerialBackend
 from .rfactor import BidiagonalR, OddEvenR
-from .solve import _slices, level_diagonals
-from .stacked import gather, stack, stacked
+from .solve import _by_column, _column_costs, _slices, _stores, level_diagonals
+from .stacked import stacked
 
 __all__ = ["selinv_bidiagonal", "selinv_oddeven", "SelInvResult"]
 
@@ -53,16 +68,23 @@ class SelInvResult:
     ``cross[(a, b)]`` (with ``a < b`` in original indices) holds
     ``S_{a,b}`` for every pair where ``R`` has a nonzero block —
     useful for lag-one smoother covariances and verified against the
-    dense inverse in the tests.
+    dense inverse in the tests.  It is a read-only mapping; ``cross``
+    may be given as a function that builds it on first access.
     """
 
     def __init__(
         self,
         diagonal: list[np.ndarray],
-        cross: dict[tuple[int, int], np.ndarray],
+        cross: dict[tuple[int, int], np.ndarray] | Callable[[], dict],
     ):
         self.diagonal = diagonal
-        self.cross = cross
+        self._cross = cross
+
+    @property
+    def cross(self) -> Mapping[tuple[int, int], np.ndarray]:
+        if callable(self._cross):
+            self._cross = self._cross()
+        return MappingProxyType(self._cross)
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.diagonal[i]
@@ -152,50 +174,59 @@ def selinv_oddeven(
 
     Levels are processed deepest-first (the recursion's "odd columns
     first"); within a level every column is independent, so the level
-    groups its columns by row shape and runs each group as stacked
-    calls (:mod:`repro.core.stacked`).  For a batched factor (see
+    runs each of its row groups as stacked calls
+    (:mod:`repro.core.stacked`).  For a batched factor (see
     :mod:`repro.batch`) every covariance block is a ``(B, n, n)``
     stack.  ``backend`` receives each level's per-column kernel costs.
     """
     if backend is None:
         backend = SerialBackend()
-    diag_s: dict = {}
-    cross: dict[tuple[int, int], np.ndarray] = {}
+    slots, counts = factor.slots, factor.dim_counts
+    first = factor.groups[0][0].diag
+    xp = get_namespace(first)
+    diag_s = _stores(factor, first.dtype, lambda n: (n, n))
+    cross: dict = {}
 
-    def get_cross(a: int, b: int) -> np.ndarray:
-        """``S_{a,b}`` in (rows=a, cols=b) orientation for any order."""
-        if a <= b:
-            return cross[(a, b)]
-        return _t(cross[(b, a)])
+    def cross_store(p: int, q: int):
+        """The cross blocks ``S_{a,b}``, ``a < b``, of dimensions
+        ``(n_a, n_b) = (p, q)``."""
+        store = cross.get((p, q))
+        if store is None:
+            lead = (counts[q] + counts[p],) + factor.batch_shape
+            store = cross[p, q] = xp.zeros(lead + (p, q), dtype=first.dtype)
+        return store
 
     slices = _slices(factor)
     for level_idx in reversed(range(len(factor.levels))):
-        cols = factor.levels[level_idx]
-        for members, diag in level_diagonals(factor, cols):
-            rows = [factor.rows[c] for c in members]
-            n = rows[0].n
-            xp = get_namespace(diag)
-            i_cols = [row.offdiag_cols() for row in rows]
-            couplings = len(i_cols[0])
-            if not couplings:
-                s_jj = stacked(_diag_inverse_product, diag, tail=(2,))
+        for g in level_diagonals(factor, level_idx):
+            n = g.n
+            at = slots[g.cols]
+            if not g.couplings:
+                s_jj = stacked(_diag_inverse_product, g.square, tail=(2,))
             else:
-                r_ji = xp.concatenate(
-                    [
-                        stack(
-                            [row.offdiag[j][1][..., :n, :] for row in rows]
-                        )
-                        for j in range(couplings)
-                    ],
-                    axis=-1,
+                blocks = [block[..., :n, :] for _c, block in g.couplings]
+                r_ji = (
+                    blocks[0]
+                    if len(blocks) == 1
+                    else xp.concatenate(blocks, axis=-1)
                 )
                 # Assemble S_II from previously-computed deeper-level
                 # blocks: S_aa, and with two couplings also S_ab, S_ba
                 # and S_bb.
-                s_ii = gather([diag_s[i[0]] for i in i_cols])
-                if couplings == 2:
-                    s_ab = stack([get_cross(a, b) for a, b in i_cols])
-                    s_bb = gather([diag_s[i[1]] for i in i_cols])
+                a = g.couplings[0][0]
+                m_a = blocks[0].shape[-1]
+                s_ii = diag_s[m_a][slots[a]]
+                if len(blocks) == 2:
+                    b = g.couplings[1][0]
+                    m_b = blocks[1].shape[-1]
+                    s_ab = cross_store(m_a, m_b)[
+                        np.where(
+                            factor.level_of[a] < factor.level_of[b],
+                            counts[m_b] + slots[a],
+                            slots[b],
+                        )
+                    ]
+                    s_bb = diag_s[m_b][slots[b]]
                     s_ii = xp.concatenate(
                         [
                             xp.concatenate([s_ii, s_ab], axis=-1),
@@ -204,34 +235,51 @@ def selinv_oddeven(
                         axis=-2,
                     )
                 s_jj, s_ji = stacked(
-                    _selinv_step, diag, r_ji, s_ii, tail=(2, 2, 2)
+                    _selinv_step, g.square, r_ji, s_ii, tail=(2, 2, 2)
                 )
                 lo = 0
-                for j in range(couplings):
-                    hi = lo + factor.dims[i_cols[0][j]]
-                    block = s_ji[..., lo:hi]
-                    blocks, flipped = list(block), list(_t(block))
-                    for t, c in enumerate(members):
-                        other = i_cols[t][j]
-                        if c <= other:
-                            cross[(c, other)] = blocks[t]
-                        else:
-                            cross[(other, c)] = flipped[t]
-                    lo = hi
+                for others, block in g.couplings:
+                    m = block.shape[-1]
+                    s_jo = s_ji[..., lo : lo + m]
+                    if others[0] > g.cols[0]:
+                        cross_store(n, m)[counts[m] + at] = s_jo
+                    else:
+                        cross_store(m, n)[at] = _t(s_jo)
+                    lo += m
             # Symmetrize: roundoff accumulates asymmetrically through
             # the two matrix products.
-            sym = 0.5 * (s_jj + _t(s_jj))
-            for t, c in enumerate(members):
-                diag_s[c] = (sym, t)
+            diag_s[n][at] = 0.5 * (s_jj + _t(s_jj))
         backend.record_costs(
-            cols,
-            lambda c: _selinv_costs(
-                slices,
-                factor.rows[c].n,
-                sum(factor.dims[o] for o in factor.rows[c].offdiag_cols()),
+            factor.levels[level_idx],
+            _column_costs(
+                factor,
+                level_idx,
+                lambda n, others: _selinv_costs(slices, n, sum(others)),
             ),
             phase=f"oddeven/selinv/L{level_idx}",
         )
+    return SelInvResult(
+        _by_column(factor, diag_s), lambda: _cross_blocks(factor, cross)
+    )
 
-    ordered = [base[t] for base, t in map(diag_s.get, range(len(factor.dims)))]
-    return SelInvResult(ordered, cross)
+
+def _cross_blocks(factor: OddEvenR, cross: dict) -> dict:
+    """``S_{a,b}`` keyed ``(a, b)``, ``a < b``, as views of the stores."""
+    slots, counts = factor.slots, factor.dim_counts
+    out = {}
+    for groups in reversed(factor.groups):
+        for g in groups:
+            n = g.n
+            for others, block in g.couplings:
+                m = block.shape[-1]
+                if others[0] > g.cols[0]:
+                    store = cross[n, m]
+                    pairs = zip(g.cols.tolist(), others.tolist())
+                    at = counts[m] + slots[g.cols]
+                else:
+                    store = cross[m, n]
+                    pairs = zip(others.tolist(), g.cols.tolist())
+                    at = slots[g.cols]
+                for pair, i in zip(pairs, at.tolist()):
+                    out[pair] = store[i]
+    return out

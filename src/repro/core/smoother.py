@@ -62,6 +62,23 @@ def reject_nonfinite(
         ) from cause
 
 
+def reject_nonfinite_outputs(
+    problems: list[StateSpaceProblem],
+    outputs,
+    *,
+    indices: list[int] | None = None,
+    smoother: str,
+) -> None:
+    """:func:`reject_nonfinite` once an output array is not finite.
+
+    For smoothers that carry NaN through silently: a healthy result
+    costs one ``isfinite`` per output array, and the problems are
+    scanned only when one fails.
+    """
+    if not all(np.isfinite(x).all() for x in outputs):
+        reject_nonfinite(problems, None, indices=indices, smoother=smoother)
+
+
 class OddEvenSmoother(SmootherBase):
     """Parallel-in-time Kalman smoother via odd-even QR (paper §3-§4).
 

@@ -6,9 +6,15 @@ With the factorization ``Q R = U A P`` and transformed right-hand side
 the base column first, then each level's even columns *in parallel* —
 every even column's block row references only columns eliminated at
 deeper levels, whose states are already known.  Each column costs one
-or two small GEMVs plus one triangular solve; a level groups its
-columns by row shape and runs each group as stacked calls
-(:mod:`repro.core.stacked`).
+or two small GEMVs plus one triangular solve.
+
+The factor keeps each level's rows as row groups
+(:class:`~repro.core.rfactor.RowGroup`), and the solves run each group
+as stacked calls (:mod:`repro.core.stacked`).  Solved values live in
+*stores*: one array per state dimension, allocated through the array
+namespace, in which column ``c`` is entry ``factor.slots[c]``.  A group
+fetches the states it couples to, and writes its own, with one
+integer-index operation per coupling; nothing is kept per column.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ from ..linalg.triangular import (
     solve_upper,
     solve_upper_transpose,
 )
-from ..linalg.xp import to_host
+from ..linalg.xp import get_namespace, to_host
 from ..parallel.backend import Backend, SerialBackend
-from .rfactor import OddEvenR, RBlockRow
-from .stacked import gather, group_by, stack, stacked
+from .rfactor import OddEvenR, RBlockRow, RowGroup
+from .stacked import stack, stacked
 
 __all__ = ["oddeven_back_substitute", "oddeven_rt_solve", "square_diag"]
 
@@ -51,53 +57,95 @@ def square_diag(row: RBlockRow) -> np.ndarray:
     return diag
 
 
-def level_diagonals(factor: OddEvenR, cols: list[int]) -> list:
-    """Group a level's columns by row shape; stack their diagonals.
+def level_diagonals(factor: OddEvenR, level: int) -> list[RowGroup]:
+    """The row groups of ``level``, each with its square diagonal checked.
 
-    Returns ``[(members, diag)]`` with ``diag`` the ``(N, *batch, n,
-    n)`` stack of the members' square diagonal blocks.  One vectorized
-    test per group checks every block; when one fails, the first
-    failing column in level order raises :func:`square_diag`'s error
-    (its batch slices name the failing sequences of a batched factor).
+    A group's square diagonal stack is sliced and checked by one
+    vectorized test the first time any solve asks for it, and kept as
+    :attr:`RowGroup.square`.  When a check fails, the first failing
+    column in level order raises :func:`square_diag`'s error (its batch
+    slices name the failing sequences of a batched factor).
     """
-    rows = factor.rows
-
-    def shapes(c):
-        row = rows[c]
-        return (row.diag.shape, *[b.shape for _o, b in row.offdiag])
-
-    out = []
-    bad = {}
-    for key, members in group_by(cols, shapes, _slices(factor)):
-        n_rows, n = key[0][-2:]
-        if n_rows < n:
-            bad[tuple(members)] = np.ones(len(members), dtype=bool)
+    groups = factor.groups[level]
+    bad = []
+    for g in groups:
+        if g.square is not None:
             continue
-        diag = stack([rows[c].diag[..., :n, :] for c in members])
+        n_rows, n = g.diag.shape[-2:]
+        if n_rows < n:
+            bad.append((g, np.ones(len(g.cols), dtype=bool)))
+            continue
+        diag = g.diag[..., :n, :]
         d = np.diagonal(to_host(diag), axis1=-2, axis2=-1)
         if not (np.isfinite(d).all() and d.all()):
             flags = (d == 0.0) | ~np.isfinite(d)
-            bad[tuple(members)] = flags.reshape(len(members), -1).any(
-                axis=-1
-            )
-        out.append((members, diag))
+            bad.append((g, flags.reshape(len(g.cols), -1).any(axis=-1)))
+            continue
+        g.square = diag
     if bad:
-        flagged = {
-            c
-            for members, flags in bad.items()
-            for c, flag in zip(members, flags)
-            if flag
-        }
-        square_diag(rows[min(flagged, key=cols.index)])
-    return out
+        pos = {c: i for i, c in enumerate(factor.levels[level])}
+        _, g, t = min(
+            (pos[int(g.cols[t])], g, t)
+            for g, flags in bad
+            for t in np.flatnonzero(flags).tolist()
+        )
+        square_diag(g.row(t, level))
+    return groups
 
 
 def _slices(factor: OddEvenR) -> int:
     """Sequences per block of ``factor`` (1 for a single sequence)."""
-    return batch_count(factor.rows[factor.levels[0][0]].batch_shape)
+    return batch_count(factor.batch_shape)
 
 
-def _check_finite(members: list[int], states) -> None:
+def _stores(factor: OddEvenR, dtype, tail) -> dict:
+    """A zeroed ``(count, *batch, *tail(n))`` array per state dimension
+    ``n`` of ``factor``, allocated in the factor's array namespace."""
+    first = factor.groups[0][0].diag
+    xp = get_namespace(first)
+    lead = factor.batch_shape
+    return {
+        n: xp.zeros((count,) + lead + tail(n), dtype=dtype)
+        for n, count in factor.dim_counts.items()
+    }
+
+
+def _by_column(factor: OddEvenR, stores: dict) -> list:
+    """One view per column of a store, in natural column order."""
+    if len(stores) == 1:
+        (store,) = stores.values()
+        return list(store)
+    return [stores[n][s] for n, s in zip(factor.dims, factor.slots.tolist())]
+
+
+def _by_dim(factor: OddEvenR, values: list) -> dict:
+    """Per-column ``values`` stacked into one store per state dimension."""
+    dims = np.asarray(factor.dims)
+    return {
+        n: stack(
+            [_as_array(values[c]) for c in np.flatnonzero(dims == n).tolist()]
+        )
+        for n in factor.dim_counts
+    }
+
+
+def _column_costs(factor: OddEvenR, level: int, charge):
+    """``record_costs``' per-column ``cost`` for one level:
+    ``charge(n, coupled dims)`` of each column's row group, tabulated
+    on first use (executing backends never ask)."""
+    table: dict = {}
+
+    def cost(col):
+        if not table:
+            for g in factor.groups[level]:
+                costs = charge(g.n, [b.shape[-1] for _c, b in g.couplings])
+                table.update(dict.fromkeys(g.cols.tolist(), costs))
+        return table[col]
+
+    return cost
+
+
+def _check_finite(members, states) -> None:
     """Raise when a solved state is NaN or infinite.
 
     A non-finite value in the data reaches the solution through the
@@ -119,7 +167,7 @@ def _check_finite(members: list[int], states) -> None:
         ]
         where = f" in batch slice(s) {slices}"
     err = np.linalg.LinAlgError(
-        f"state {members[t]} of the solution is not finite{where}; the "
+        f"state {int(members[t])} of the solution is not finite{where}; the "
         "problem holds a non-finite value or one that overflows"
     )
     err.batch_slices = slices
@@ -177,43 +225,40 @@ def oddeven_back_substitute(
     """
     if backend is None:
         backend = SerialBackend()
-    states: list = [None] * len(factor.dims)
+    slots = factor.slots
+    first = factor.groups[0][0].diag
+    dtype = first.dtype
+    if rhs is not None:
+        rhs = _by_dim(factor, rhs)
+        dtype = get_namespace(first).result_type(first, *rhs.values())
+    states = _stores(factor, dtype, lambda n: (n,))
     slices = _slices(factor)
     for level_idx in reversed(range(len(factor.levels))):
-        cols = factor.levels[level_idx]
-        for members, diag in level_diagonals(factor, cols):
-            rows = [factor.rows[c] for c in members]
-            n = rows[0].n
-            if rhs is None:
-                b = stack([row.rhs[..., :n] for row in rows])
-            else:
-                b = stack([_as_array(rhs[c])[..., :n] for c in members])
-            operands = [diag, b]
-            for j in range(len(rows[0].offdiag)):
-                operands.append(
-                    stack([row.offdiag[j][1][..., :n, :] for row in rows])
-                )
-                operands.append(
-                    gather([states[row.offdiag[j][0]] for row in rows])
-                )
+        for g in level_diagonals(factor, level_idx):
+            n = g.n
+            at = slots[g.cols]
+            b = g.rhs[..., :n] if rhs is None else rhs[n][at]
+            operands = [g.square, b]
+            for cols, block in g.couplings:
+                operands.append(block[..., :n, :])
+                operands.append(states[block.shape[-1]][slots[cols]])
             u = stacked(
                 _back_solve,
                 *operands,
-                tail=(2, 1) + (2, 1) * len(rows[0].offdiag),
+                tail=(2, 1) + (2, 1) * len(g.couplings),
             )
-            _check_finite(members, u)
-            for t, c in enumerate(members):
-                states[c] = (u, t)
+            _check_finite(g.cols, u)
+            states[n][at] = u
         backend.record_costs(
-            cols,
-            lambda c: _solve_costs(
-                slices,
-                factor.rows[c].n,
-                [factor.dims[o] for o in factor.rows[c].offdiag_cols()],
+            factor.levels[level_idx],
+            _column_costs(
+                factor,
+                level_idx,
+                lambda n, others: _solve_costs(slices, n, others),
             ),
             phase=f"oddeven/solve/L{level_idx}",
         )
-    return [base[t] for base, t in states]
+    return _by_column(factor, states)
 
 
 def oddeven_rt_solve(
@@ -248,37 +293,50 @@ def oddeven_rt_solve(
     """
     if backend is None:
         backend = SerialBackend()
-    w: list = [_as_array(x) for x in rhs]
-    y: list = [None] * len(factor.dims)
+    slots = factor.slots
+    first = factor.groups[0][0].diag
+    xp = get_namespace(first)
+    w = _by_dim(factor, rhs)
+    dtype = xp.result_type(first, *w.values())
+    # The right-hand sides take the solution's dtype up front, so the
+    # in-place updates below round like ``w - term`` would.
+    w = {
+        n: a if a.dtype == dtype else xp.astype(a, dtype)
+        for n, a in w.items()
+    }
+    y = _stores(factor, dtype, lambda n: (n,))
     slices = _slices(factor)
     for level_idx, cols in enumerate(factor.levels):
-        coupling: dict = {}
-        for members, diag in level_diagonals(factor, cols):
-            rows = [factor.rows[c] for c in members]
-            n = rows[0].n
+        updates = []
+        for g in level_diagonals(factor, level_idx):
+            n = g.n
+            at = slots[g.cols]
             sol = stacked(
-                solve_upper_transpose,
-                diag,
-                stack([w[c] for c in members]),
-                tail=(2, 1),
+                solve_upper_transpose, g.square, w[n][at], tail=(2, 1)
             )
-            for t, c in enumerate(members):
-                y[c] = sol[t]
-            for j in range(len(rows[0].offdiag)):
-                blocks = stack(
-                    [mat_transpose(row.offdiag[j][1][..., :n, :]) for row in rows]
+            y[n][at] = sol
+            for others, block in g.couplings:
+                # A contiguous copy: BLAS rounds a transposed block by
+                # its leading dimension, and this one matches the
+                # per-sequence stacks of a batched factor.
+                terms = stacked(
+                    instrumented_matvec,
+                    mat_transpose(xp.copy(block[..., :n, :])),
+                    sol,
+                    tail=(2, 1),
                 )
-                terms = stacked(instrumented_matvec, blocks, sol, tail=(2, 1))
-                for t, c in enumerate(members):
-                    coupling[c, j] = terms[t]
+                updates.append((bool(others[0] < g.cols[0]), others, terms))
         backend.record_costs(
             cols,
-            lambda c: _solve_costs(slices, factor.rows[c].n, []),
+            _column_costs(
+                factor, level_idx, lambda n, _o: _solve_costs(slices, n, [])
+            ),
             phase=f"oddeven/rtsolve/L{level_idx}",
         )
         # Propagate this level's couplings into the not-yet-solved
-        # (deeper-level) columns' right-hand sides, in column order.
-        for c in cols:
-            for j, other in enumerate(factor.rows[c].offdiag_cols()):
-                w[other] = w[other] - coupling[c, j]
-    return y
+        # (deeper-level) columns' right-hand sides, in column order: a
+        # deeper column takes its left neighbour's term (that row's
+        # right coupling) before its right neighbour's.
+        for _left, others, terms in sorted(updates, key=lambda u: u[0]):
+            w[terms.shape[-1]][slots[others]] -= terms
+    return _by_column(factor, y)

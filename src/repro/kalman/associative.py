@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..api import Capabilities, EstimatorConfig, SmootherBase
+from ..core.smoother import reject_nonfinite, reject_nonfinite_outputs
 from ..linalg.triangular import (
     batch_count,
     instrumented_matmul,
@@ -61,6 +62,8 @@ __all__ = [
     "make_smoothing_element",
     "AssociativeSmoother",
 ]
+
+_NAME = "the associative smoother"
 
 
 @dataclass
@@ -292,7 +295,9 @@ class AssociativeSmoother(SmootherBase):
 
     The scan elements carry the covariances intrinsically (paper
     §5.4), so like RTS there is no NC variant:
-    ``capabilities.supports_nc`` is ``False``.
+    ``capabilities.supports_nc`` is ``False``.  The scans would carry a
+    NaN through silently; non-finite data raises ``ValueError`` naming
+    its step and field instead.
 
     Parameters
     ----------
@@ -319,13 +324,32 @@ class AssociativeSmoother(SmootherBase):
         backend = config.backend
         ab = getattr(config, "array_module", None)
         foreign = ab is not None and ab.name != "numpy"
-        m0, p0, steps = to_standard_form(
-            problem, "the associative smoother"
-        )
+        m0, p0, steps = to_standard_form(problem, _NAME)
         if foreign:
             m0, p0, steps = _to_backend_standard(ab, m0, p0, steps)
+        try:
+            means, covs = self._scans(m0, p0, steps, backend)
+        except np.linalg.LinAlgError as exc:
+            reject_nonfinite([problem], exc, smoother=_NAME)
+            raise
+        if foreign:
+            means = [to_host(m) for m in means]
+            covs = [to_host(c) for c in covs]
+        reject_nonfinite_outputs([problem], (*means, *covs), smoother=_NAME)
         k = len(steps) - 1
+        return SmootherResult(
+            means=means,
+            covariances=covs,
+            residual_sq=None,
+            algorithm="associative"
+            + ("" if self.parallel else "-sequential"),
+            diagnostics={"k": k, "parallel_scan": self.parallel},
+        )
 
+    def _scans(self, m0, p0, steps, backend: Backend):
+        """The filtering and smoothing scans: smoothed means and
+        covariances."""
+        k = len(steps) - 1
         elements = backend.map(
             range(k + 1),
             lambda i: make_filtering_element(
@@ -359,19 +383,7 @@ class AssociativeSmoother(SmootherBase):
             phase="associative/smooth-scan",
         )
 
-        means = [s.g for s in smoothed]
-        covs = [s.ell for s in smoothed]
-        if foreign:
-            means = [to_host(m) for m in means]
-            covs = [to_host(c) for c in covs]
-        return SmootherResult(
-            means=means,
-            covariances=covs,
-            residual_sq=None,
-            algorithm="associative"
-            + ("" if self.parallel else "-sequential"),
-            diagnostics={"k": k, "parallel_scan": self.parallel},
-        )
+        return [s.g for s in smoothed], [s.ell for s in smoothed]
 
     def filter_means(
         self,
@@ -381,9 +393,7 @@ class AssociativeSmoother(SmootherBase):
         """Filtered means only (prefix of the first scan) — test hook."""
         if backend is None:
             backend = SerialBackend()
-        m0, p0, steps = to_standard_form(
-            problem, "the associative smoother"
-        )
+        m0, p0, steps = to_standard_form(problem, _NAME)
         elements = [
             make_filtering_element(s, first=(i == 0), m0=m0, p0=p0)
             for i, s in enumerate(steps)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..api import Capabilities, EstimatorConfig, SmootherBase
+from ..core.smoother import reject_nonfinite, reject_nonfinite_outputs
 from ..linalg.cholesky import spd_solve
 from ..linalg.triangular import instrumented_matmul
 from ..model.problem import StateSpaceProblem
@@ -27,6 +28,8 @@ from .standard_form import to_standard_form
 
 __all__ = ["RTSSmoother"]
 
+_NAME = "the RTS smoother"
+
 
 class RTSSmoother(SmootherBase):
     """Forward filter + backward RTS recursion (sequential).
@@ -35,7 +38,8 @@ class RTSSmoother(SmootherBase):
     on them (paper §5.4), so there is no NC variant —
     ``capabilities.supports_nc`` is ``False`` and requesting
     ``compute_covariance=False`` through an
-    :class:`~repro.api.EstimatorConfig` raises.
+    :class:`~repro.api.EstimatorConfig` raises.  Non-finite data raises
+    ``ValueError`` naming its step and field.
     """
 
     name = "kalman-rts"
@@ -47,10 +51,9 @@ class RTSSmoother(SmootherBase):
         self, problem: StateSpaceProblem, config: EstimatorConfig
     ) -> SmootherResult:
         backend = config.backend
-        m0, p0, steps = to_standard_form(problem, "the RTS smoother")
+        m0, p0, steps = to_standard_form(problem, _NAME)
         del m0, p0
-        filt = KalmanFilter().filter(problem, backend)
-        k = filt.k
+        k = len(steps) - 1
         s_means: list[np.ndarray] = [None] * (k + 1)  # type: ignore[list-item]
         s_covs: list[np.ndarray] = [None] * (k + 1)  # type: ignore[list-item]
 
@@ -76,7 +79,15 @@ class RTSSmoother(SmootherBase):
             )
             s_covs[i] = 0.5 * (cov + cov.T)
 
-        backend.serial_for(k + 1, backward, phase="kalman/rts-backward")
+        try:
+            filt = KalmanFilter().filter(problem, backend)
+            backend.serial_for(k + 1, backward, phase="kalman/rts-backward")
+        except np.linalg.LinAlgError as exc:
+            reject_nonfinite([problem], exc, smoother=_NAME)
+            raise
+        reject_nonfinite_outputs(
+            [problem], (*s_means, *s_covs), smoother=_NAME
+        )
         return SmootherResult(
             means=s_means,
             covariances=s_covs,

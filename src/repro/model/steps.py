@@ -159,8 +159,11 @@ class GaussianPrior:
         return self.mean.shape[0]
 
     def as_observation(self) -> Observation:
-        """The prior expressed as an observation on ``u_0``."""
-        return Observation(G=np.eye(self.dim), o=self.mean, L=self.cov)
+        """The prior expressed as an observation on ``u_0``, in the
+        mean's dtype."""
+        return Observation(
+            G=np.eye(self.dim, dtype=self.mean.dtype), o=self.mean, L=self.cov
+        )
 
     def cov_matrix(self) -> np.ndarray:
         return self.cov.covariance()

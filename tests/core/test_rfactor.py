@@ -1,9 +1,11 @@
 """Tests for the factor data structures."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from repro.core.rfactor import BidiagonalR, OddEvenR, RBlockRow
+from repro.core.rfactor import BidiagonalR, OddEvenR, RowGroup
 
 
 class TestBidiagonalR:
@@ -32,25 +34,23 @@ class TestBidiagonalR:
         assert factor.k == 1
 
 
-def tiny_oddeven():
+def group(col, diag, rhs, *couplings):
+    """A one-row :class:`RowGroup`; ``couplings`` are ``(col, block)``."""
+    return RowGroup(
+        np.array([col]),
+        np.array([diag]),
+        tuple((np.array([c]), np.array([block])) for c, block in couplings),
+        np.array([rhs]),
+    )
+
+
+def tiny_oddeven(row0=None, row1=None):
     """Hand-built two-column factor: col 0 eliminated first."""
-    factor = OddEvenR(dims=[1, 1])
-    factor.rows[0] = RBlockRow(
-        col=0,
-        diag=np.array([[2.0]]),
-        offdiag=[(1, np.array([[1.0]]))],
-        rhs=np.array([4.0]),
-        level=0,
-    )
-    factor.rows[1] = RBlockRow(
-        col=1,
-        diag=np.array([[3.0]]),
-        offdiag=[],
-        rhs=np.array([6.0]),
-        level=1,
-    )
-    factor.levels = [[0], [1]]
-    return factor
+    if row0 is None:
+        row0 = group(0, [[2.0]], [4.0], (1, [[1.0]]))
+    if row1 is None:
+        row1 = group(1, [[3.0]], [6.0])
+    return OddEvenR(groups=[[row0], [row1]], levels=[[0], [1]], dims=[1, 1])
 
 
 class TestOddEvenR:
@@ -61,14 +61,13 @@ class TestOddEvenR:
         tiny_oddeven().validate()
 
     def test_validate_rejects_forward_reference(self):
-        factor = tiny_oddeven()
-        factor.rows[1].offdiag = [(0, np.array([[1.0]]))]
+        factor = tiny_oddeven(row1=group(1, [[3.0]], [6.0], (0, [[1.0]])))
         with pytest.raises(AssertionError, match="not upper triangular"):
             factor.validate()
 
     def test_validate_rejects_bad_shape(self):
-        factor = tiny_oddeven()
-        factor.rows[0].offdiag = [(1, np.zeros((2, 2)))]
+        bad = group(0, [[2.0]], [4.0], (1, np.zeros((2, 2))))
+        factor = tiny_oddeven(row0=bad)
         with pytest.raises(AssertionError, match="shape"):
             factor.validate()
 
@@ -76,6 +75,12 @@ class TestOddEvenR:
         factor = tiny_oddeven()
         factor.levels = [[0], [0]]
         with pytest.raises(AssertionError, match="permutation"):
+            factor.validate()
+
+    def test_validate_rejects_groups_off_their_level(self):
+        factor = tiny_oddeven()
+        factor.groups.reverse()
+        with pytest.raises(AssertionError, match="row groups hold"):
             factor.validate()
 
     def test_to_dense_and_rhs(self):
@@ -90,3 +95,14 @@ class TestOddEvenR:
         rows = dict(tiny_oddeven().structure_rows())
         assert rows[0] == [1]
         assert rows[1] == []
+
+    def test_rows_are_read_only_views_of_the_groups(self):
+        factor = tiny_oddeven()
+        row = factor.rows[0]
+        assert (row.col, row.level, row.offdiag_cols()) == (0, 0, [1])
+        assert np.shares_memory(row.diag, factor.groups[0][0].diag)
+        assert factor.rows is factor.rows
+        with pytest.raises(TypeError):
+            factor.rows[0] = row
+        with pytest.raises(FrozenInstanceError):
+            row.diag = np.eye(1)

@@ -1,17 +1,21 @@
-"""Whitening and level 0 stay stacked as sequences grow.
+"""Whitening, level 0 and the factor stay stacked as sequences grow.
 
 One sequence whitens each block shape with one stacked call and solves
 its Cholesky-factored slices in chunks of at most ``STACK_SLICES``; the
 odd-even engine's level 0 gathers its groups from those stacks as
-views.  Kernel calls therefore grow with the number of chunks,
-``ceil(k / STACK_SLICES)``, not with the number of steps ``k``; a
-return to per-step whitening or per-step level-0 blocks multiplies
-them by ``k``.
+views, and the factor and SelInv keep their blocks as per-level stacks
+and per-dimension stores.  Kernel calls and live Python objects
+therefore grow with the number of chunks, ``ceil(k / STACK_SLICES)``,
+not with the number of steps ``k``; a return to per-step whitening,
+per-step level-0 blocks or per-column factor rows multiplies them by
+``k``.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import types
 
 import numpy as np
 
@@ -19,6 +23,7 @@ import repro.core.oddeven_qr as oddeven_qr
 import repro.model.problem as problem_module
 from repro.batch.stacking import stack_whitened
 from repro.core.oddeven_qr import _level_zero, oddeven_factorize
+from repro.core.selinv import selinv_oddeven
 from repro.core.stacked import STACK_SLICES
 from repro.model.generators import random_problem
 from repro.parallel.tally import measure_flops
@@ -114,3 +119,38 @@ def test_factorization_qr_calls_grow_with_chunks_not_steps(monkeypatch):
         oddeven_factorize(white)
         counts[k] = len(calls)
     assert counts[LONG] <= counts[SHORT] * CHUNKS
+
+
+def reachable_containers(*roots) -> int:
+    """GC-tracked objects reachable from ``roots`` through instances,
+    containers and closures (classes, modules and globals excluded)."""
+    seen: dict = {}
+    todo = list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.FunctionType):
+            todo.extend(obj.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(obj))
+    return sum(gc.is_tracked(obj) for obj in seen.values())
+
+
+def test_factor_and_selinv_objects_grow_with_chunks_not_steps():
+    """A factor with one row object per column, each with a list of its
+    couplings, or a SelInv result with one key per cross block, holds
+    thousands of objects the collector walks."""
+    counts = {}
+    for k in (SHORT, LONG):
+        factor = oddeven_factorize(sequence(k).whiten())
+        result = selinv_oddeven(factor)
+        # Untrack the tuples and dicts that hold no container, so the
+        # count does not depend on when the collector last ran.
+        gc.collect()
+        counts[k] = reachable_containers(factor, result)
+    assert counts[LONG] <= counts[SHORT] * CHUNKS
+    # The per-column views are built on request.
+    assert len(factor.rows) == LONG + 1
+    assert len(result.cross) == factor.nonzero_blocks() - (LONG + 1)

@@ -327,6 +327,39 @@ class TestNaNPropagationGuard:
         ):
             BatchSmoother(method="associative").smooth_many(fleet)
 
+    SCAN_SMOOTHERS = {
+        "kalman-rts": "the RTS smoother",
+        "associative": "the associative smoother",
+        "normal-equations": "the normal-equations smoother",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCAN_SMOOTHERS))
+    def test_other_smoothers_name_step_field_and_smoother(self, name):
+        """The filter, the scans and cyclic reduction used to return NaN
+        means for a NaN observation, without an error."""
+        import repro
+
+        p = random_problem(k=6, seed=5, dims=2)
+        p.steps[3].observation.o[0] = np.nan
+        message = (
+            "step 3 has a non-finite observation o; "
+            f"{self.SCAN_SMOOTHERS[name]} needs finite data"
+        )
+        with pytest.raises(ValueError, match=message):
+            repro.make_smoother(name).smooth(p)
+
+    @pytest.mark.parametrize("name", sorted(SCAN_SMOOTHERS))
+    def test_other_smoothers_scan_no_healthy_problem(self, name, monkeypatch):
+        import repro
+
+        p = random_problem(k=9, seed=4, dims=2, random_cov=True)
+
+        def fail(_self):
+            raise AssertionError("scanned a healthy problem")
+
+        monkeypatch.setattr(StateSpaceProblem, "nonfinite_field", fail)
+        repro.make_smoother(name).smooth(p)
+
     def test_healthy_problem_scans_nothing(self, monkeypatch):
         """The step scan runs only after a non-finite result."""
         p = random_problem(k=9, seed=4, dims=2, random_cov=True)

@@ -18,7 +18,12 @@ from repro.kalman.kf import kf_predict, kf_update
 from repro.kalman.paige_saunders import paige_saunders_factorize
 from repro.kalman.standard_form import StandardStep
 from repro.model.problem import StateSpaceProblem, WhitenedProblem, WhitenedStep
-from repro.model.steps import Evolution, Observation, Step
+from repro.model.steps import (
+    Evolution,
+    GaussianPrior,
+    Observation,
+    Step,
+)
 
 
 def _float32_white(k=5, dims=2, seed=3) -> WhitenedProblem:
@@ -110,8 +115,9 @@ class TestConfigDtypeOnPerSequenceSmoothers:
 
 class TestFloat32ProblemsSmoothInFloat32:
     @staticmethod
-    def problem(observe_first: bool):
-        """Six float32 steps without a prior; step 0 observed or not."""
+    def problem(observe_first: bool, prior: bool = False):
+        """Six float32 steps, step 0 observed or not, with or without a
+        float32 prior."""
         rng = np.random.default_rng(7)
 
         def draw(*shape):
@@ -127,6 +133,8 @@ class TestFloat32ProblemsSmoothInFloat32:
             if i or observe_first:
                 obs = Observation(G=draw(2, 2), o=draw(2))
             steps.append(Step(state_dim=2, evolution=evo, observation=obs))
+        if prior:
+            return StateSpaceProblem(steps, prior=GaussianPrior(draw(2)))
         return StateSpaceProblem(steps)
 
     @pytest.mark.parametrize("observe_first", [True, False])
@@ -139,3 +147,12 @@ class TestFloat32ProblemsSmoothInFloat32:
         assert all(m.dtype == np.float32 for m in result.means)
         assert all(c.dtype == np.float32 for c in result.covariances)
 
+
+    @pytest.mark.parametrize("name", ["odd-even", "paige-saunders"])
+    @pytest.mark.parametrize("observe_first", [True, False])
+    def test_a_float32_prior_keeps_float32(self, name, observe_first):
+        """The prior's rows are built in its mean's dtype."""
+        problem = self.problem(observe_first, prior=True)
+        result = repro.make_smoother(name).smooth(problem)
+        assert all(m.dtype == np.float32 for m in result.means)
+        assert all(c.dtype == np.float32 for c in result.covariances)
