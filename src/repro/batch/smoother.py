@@ -202,7 +202,8 @@ class BatchSmoother(SmootherBase):
     smoothers slice for slice (the integration tests pin this at
     ``1e-8``); the win is throughput — every recursion level's
     thousands of tiny QR/solve calls collapse into a few stacked
-    LAPACK calls (see ``repro.bench.batch``).
+    LAPACK calls (the repository benchmark's ``batch-mixed`` workload
+    measures it).
 
     After each ``smooth_many`` the instance exposes
     :attr:`last_diagnostics`: plan-cache outcome (hit/miss + cache
@@ -211,8 +212,8 @@ class BatchSmoother(SmootherBase):
     same signals accumulate in the process :mod:`repro.obs` registry
     (``repro_batch_phase_seconds`` histograms per phase, call/sequence
     counters) for the JSON and Prometheus exporters; swap in a
-    :class:`~repro.obs.NullRegistry` to switch that off
-    (``bench/batch.py --obs`` measures the overhead).
+    :class:`~repro.obs.NullRegistry` to switch that off (a test in
+    ``tests/obs/test_metrics.py`` bounds the overhead of leaving it on).
     """
 
     def __init__(
@@ -332,7 +333,7 @@ class BatchSmoother(SmootherBase):
         accumulates across calls (per-phase timing histograms, call
         and sequence counters).  Looked up dynamically so swapping in
         a :class:`~repro.obs.NullRegistry` turns the cost into a few
-        no-op calls (measured by ``bench/batch.py --obs``).
+        no-op calls.
         """
         registry = obs.get_registry()
         if not registry.enabled:

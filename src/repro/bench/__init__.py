@@ -1,6 +1,5 @@
 """Benchmark harness: workloads, figure regenerators, micro-benchmark."""
 
-from .batch import batch_throughput
 from .figures import (
     fig1_structure,
     fig2_running_times,
@@ -15,14 +14,12 @@ from .figures import (
 from .harness import (
     ascii_curve,
     format_series_table,
-    median_time,
     save_results,
 )
 from .microbench import PHASES, microbench_speedups, run_microbench
 from .workloads import SMOKE_WORKLOADS, WORKLOADS, Workload, core_counts_for
 
 __all__ = [
-    "batch_throughput",
     "fig1_structure",
     "fig2_running_times",
     "fig3_speedups",
@@ -34,7 +31,6 @@ __all__ = [
     "stability_table",
     "ascii_curve",
     "format_series_table",
-    "median_time",
     "save_results",
     "PHASES",
     "microbench_speedups",

@@ -1,41 +1,23 @@
-"""Timing, table and series utilities shared by all benchmark targets.
+"""Table and series utilities shared by the figure benchmarks.
 
-The paper reports medians of 5 runs (§5.4) and plots time-vs-cores and
-speedup-vs-cores series; this module provides the measurement loop, the
-ASCII renderings of those series, and JSON persistence under
-``results/`` so EXPERIMENTS.md can cite stable numbers.
+The paper plots time-vs-cores and speedup-vs-cores series; this module
+provides the ASCII renderings of those series and JSON persistence
+under ``results/`` so the README can cite stable numbers.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "median_time",
     "format_series_table",
     "ascii_curve",
     "save_results",
     "results_dir",
 ]
-
-
-def median_time(fn, *args, repeats: int = 5, **kwargs) -> float:
-    """Median wall-clock seconds of ``repeats`` runs (paper §5.4).
-
-    ``repeats`` is keyword-only: with the old ``(fn, repeats, *args)``
-    order, the first positional argument intended for ``fn`` silently
-    became the repeat count.
-    """
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn(*args, **kwargs)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
 
 
 def format_series_table(

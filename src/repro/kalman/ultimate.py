@@ -30,7 +30,7 @@ import dataclasses
 import numpy as np
 
 from ..api import Capabilities, EstimatorConfig, SmootherBase, coerce_smoother
-from ..core.smoother import OddEvenSmoother
+from ..core.smoother import OddEvenSmoother, reject_nonfinite
 from ..errors import UnobservableStateError
 from ..linalg.cholesky import whiten_packed
 from ..linalg.householder import QRFactor
@@ -379,6 +379,10 @@ class UltimateSmoother(SmootherBase):
         Inner batch smoother for the final ``smooth`` call (a
         :class:`~repro.api.Smoother`, or a registered name); defaults
         to the odd-even smoother like :class:`UltimateKalman` itself.
+
+    A NaN or infinite value in the problem raises ``ValueError`` naming
+    its step, field and this smoother (found by a scan that runs only
+    once the replay or the smooth has failed).
     """
 
     name = "ultimate"
@@ -394,16 +398,22 @@ class UltimateSmoother(SmootherBase):
         prior = None
         if problem.prior is not None:
             prior = (problem.prior.mean, problem.prior.cov_matrix())
-        kalman = UltimateKalman(
-            first.state_dim, prior=prior, smoother=self.smoother
-        )
-        if first.observation is not None:
-            kalman.observe_step(first.observation)
-        for step in problem.steps[1:]:
-            kalman.evolve_step(step.evolution)
-            if step.observation is not None:
-                kalman.observe_step(step.observation)
-        return kalman.smooth(
-            compute_covariance=config.compute_covariance,
-            backend=config.backend,
-        )
+        try:
+            kalman = UltimateKalman(
+                first.state_dim, prior=prior, smoother=self.smoother
+            )
+            if first.observation is not None:
+                kalman.observe_step(first.observation)
+            for step in problem.steps[1:]:
+                kalman.evolve_step(step.evolution)
+                if step.observation is not None:
+                    kalman.observe_step(step.observation)
+            return kalman.smooth(
+                compute_covariance=config.compute_covariance,
+                backend=config.backend,
+            )
+        except ValueError as exc:
+            # The inner smoother names itself, or a singular block, for
+            # non-finite input: name this smoother instead.
+            reject_nonfinite([problem], exc, smoother="the ultimate smoother")
+            raise

@@ -5,9 +5,9 @@ have the same outer shape: linearize every problem at its current
 iterate, solve the linear problems, absorb the solutions, repeat until
 convergence.  Run over a workload of N problems, the naive form issues
 N separate inner solves per outer iteration; this driver regroups them
-so each outer iteration is ONE ``call_smoother_many`` on a batched
-inner smoother — the linearized problems of every not-yet-converged
-problem go through the stacked, plan-cached
+so each outer iteration is ONE ``call_smoother_many`` on the owner's
+``inner`` smoother — by default the linearized problems of every
+not-yet-converged problem go through the stacked, plan-cached
 :class:`~repro.batch.BatchSmoother` kernels together, and the
 plan cache, ``xp`` array backend, and mixed-precision apply for free.
 
@@ -17,8 +17,8 @@ problems drop out of subsequent stacked solves (the convergence mask).
 Because the stacked kernels are bit-identical per slice regardless of
 batch size, slice ``j`` of a workload of N is *bit-identical* to
 running problem ``j`` alone through the same driver — which is exactly
-how the IPLS ``smooth`` is implemented (a workload of one), so its
-``smooth_many`` is bit-for-bit the per-problem loop.
+how every iterated smoother's ``smooth`` is implemented (a workload of
+one), so its ``smooth_many`` is bit-for-bit the per-problem loop.
 
 The algorithm-specific hooks live on the smoother classes:
 
@@ -31,7 +31,7 @@ The algorithm-specific hooks live on the smoother classes:
 ``_batch_absorb(state, result, config)``
     Fold one inner solution back into the state; set ``state.done``
     when converged (or exhausted).
-``_batch_inner_covariance()`` / ``_batch_final_cov_pass()``
+``_batch_iteration_covariance()`` / ``_batch_final_cov_pass()``
     Whether iteration solves carry covariances (IPLS threads them into
     the next statistical linearization) and whether a final dedicated
     covariance pass is needed (the NC-iterating Gauss–Newton family).
@@ -111,10 +111,10 @@ def drive_batched(
         owner._batch_begin(p, config, init)
         for p, init in zip(problems, initials)
     ]
-    inner = owner.batch_inner
+    inner = owner.inner
     inner_config = EstimatorConfig(
         backend=config.backend,
-        compute_covariance=owner._batch_inner_covariance(),
+        compute_covariance=owner._batch_iteration_covariance(),
         dtype=config.dtype,
         plan_cache=config.plan_cache,
         array_module=config.array_module,

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..api import Capabilities, EstimatorConfig, SmootherBase, coerce_smoother
-from ..core.smoother import OddEvenSmoother
+from ..api.base import _cast_result
 from ..kalman.result import SmootherResult
-from ..model.nonlinear import NonlinearProblem, as_nonlinear
+from ..model.nonlinear import NonlinearProblem
+from .batched import IterateState, drive_batched, linearize_dtype
 from .ekf import extended_kalman_filter
 
 __all__ = ["GaussNewtonSmoother", "GaussNewtonTrace"]
@@ -63,9 +64,15 @@ class GaussNewtonSmoother(SmootherBase):
     Parameters
     ----------
     inner:
-        Linear smoother used for the inner solves — any
+        Linear smoother for the inner solves — any
         :class:`~repro.api.Smoother` or a registered name; defaults to
-        the Odd-Even smoother (NC mode is forced for the iterations).
+        ``BatchSmoother(method="odd-even")``.  ``smooth`` and
+        ``smooth_many`` both drive it through
+        :func:`~repro.nonlinear.batched.drive_batched`: each outer
+        iteration solves the linearized problems of every
+        not-yet-converged problem in ONE ``smooth_many`` call, in NC
+        mode where the inner supports it, and one final pass computes
+        the covariances.
     max_iterations, tol:
         Stop when the relative step norm falls below ``tol`` or after
         ``max_iterations`` linearizations.
@@ -78,13 +85,6 @@ class GaussNewtonSmoother(SmootherBase):
     armijo_c, backtrack:
         Sufficient-decrease constant and step-shrink factor for the
         line search.
-    batch_inner:
-        Batched linear smoother for ``smooth_many``: each outer
-        iteration solves the linearized problems of every
-        not-yet-converged workload member in ONE stacked
-        ``smooth_many`` call (see
-        :func:`~repro.nonlinear.batched.drive_batched`).  Defaults to
-        ``BatchSmoother(method="odd-even")``.
     """
 
     name = "gauss-newton"
@@ -101,15 +101,12 @@ class GaussNewtonSmoother(SmootherBase):
         armijo_c: float = 1e-4,
         backtrack: float = 0.5,
         min_step: float = 1e-8,
-        batch_inner=None,
     ):
-        inner = coerce_smoother(inner)
-        self.inner = inner if inner is not None else OddEvenSmoother()
-        if batch_inner is None:
+        if inner is None:
             from ..batch.smoother import BatchSmoother
 
-            batch_inner = BatchSmoother(method="odd-even")
-        self.batch_inner = coerce_smoother(batch_inner)
+            inner = BatchSmoother(method="odd-even")
+        self.inner = coerce_smoother(inner)
         self.max_iterations = max_iterations
         self.tol = tol
         self.line_search = line_search
@@ -130,82 +127,7 @@ class GaussNewtonSmoother(SmootherBase):
         *,
         initial: list[np.ndarray] | None = None,
     ) -> SmootherResult:
-        problem = as_nonlinear(problem)
-        inner_config = EstimatorConfig(
-            backend=config.backend,
-            compute_covariance=_inner_nc(self.inner),
-        )
-        trajectory = (
-            [np.asarray(x, dtype=float) for x in initial]
-            if initial is not None
-            else self.initial_trajectory(problem)
-        )
-        trace = GaussNewtonTrace()
-        current_obj = problem.objective(trajectory)
-        trace.objectives.append(current_obj)
-        for _ in range(self.max_iterations):
-            linear = problem.linearize(trajectory)
-            result = self.inner.smooth(linear, config=inner_config)
-            direction = [
-                a - b for a, b in zip(result.means, trajectory)
-            ]
-            alpha = 1.0
-            new_traj = result.means
-            if self.line_search:
-                # Armijo backtracking on the true nonlinear objective:
-                # the GN direction is a descent direction of eq. (4),
-                # so a sufficient-decrease step always exists.
-                while alpha >= self.min_step:
-                    candidate = [
-                        t + alpha * d
-                        for t, d in zip(trajectory, direction)
-                    ]
-                    cand_obj = problem.objective(candidate)
-                    if cand_obj <= current_obj - self.armijo_c * alpha * sum(
-                        float(d @ d) for d in direction
-                    ):
-                        new_traj = candidate
-                        break
-                    alpha *= self.backtrack
-                else:
-                    # No acceptable step: we are at (numerical)
-                    # stationarity.
-                    trace.converged = True
-                    break
-            num = alpha * np.sqrt(
-                sum(float(d @ d) for d in direction)
-            )
-            den = np.sqrt(
-                sum(float(a @ a) for a in new_traj)
-            )
-            trajectory = new_traj
-            current_obj = problem.objective(trajectory)
-            trace.step_norms.append(num)
-            trace.objectives.append(current_obj)
-            if num <= self.tol * max(den, 1.0):
-                trace.converged = True
-                break
-        covariances = None
-        if config.compute_covariance:
-            linear = problem.linearize(trajectory)
-            final = self.inner.smooth(
-                linear,
-                config=EstimatorConfig(
-                    backend=config.backend, compute_covariance=True
-                ),
-            )
-            covariances = final.covariances
-        return SmootherResult(
-            means=trajectory,
-            covariances=covariances,
-            residual_sq=trace.objectives[-1],
-            algorithm=f"gauss-newton[{self.inner.name}]",
-            diagnostics={
-                "iterations": trace.iterations,
-                "converged": trace.converged,
-                "trace": trace,
-            },
-        )
+        return drive_batched(self, [problem], config, initials=[initial])[0]
 
     def smooth_many(
         self,
@@ -216,14 +138,11 @@ class GaussNewtonSmoother(SmootherBase):
         """Batched Gauss–Newton: one stacked inner solve per iteration.
 
         Every not-yet-converged problem's linearization joins a single
-        ``batch_inner.smooth_many`` call per outer iteration (the
-        per-problem line search and convergence tests are unchanged),
-        instead of the base class's loop of independent ``smooth``
-        calls.
+        ``inner.smooth_many`` call per outer iteration, while the line
+        search and the convergence test stay per problem.  Slice ``j``
+        equals ``smooth(problems[j])``, which drives the same loop with
+        a workload of one.
         """
-        from ..api.base import _cast_result
-        from .batched import drive_batched
-
         problems = list(problems)
         if not problems:
             return []
@@ -238,15 +157,13 @@ class GaussNewtonSmoother(SmootherBase):
     # ------------------------------------------------------------------
     # drive_batched hooks (see repro.nonlinear.batched)
     # ------------------------------------------------------------------
-    def _batch_inner_covariance(self):
-        return _inner_nc(self.batch_inner)
+    def _batch_iteration_covariance(self):
+        return _inner_nc(self.inner)
 
     def _batch_final_cov_pass(self) -> bool:
         return True
 
     def _batch_begin(self, problem, config, initial):
-        from .batched import IterateState
-
         trajectory = (
             [np.asarray(x, dtype=float) for x in initial]
             if initial is not None
@@ -260,8 +177,6 @@ class GaussNewtonSmoother(SmootherBase):
         return state
 
     def _batch_emit(self, state, config):
-        from .batched import linearize_dtype
-
         return state.problem.linearize(
             state.trajectory, dtype=linearize_dtype(config)
         )
@@ -276,6 +191,9 @@ class GaussNewtonSmoother(SmootherBase):
         alpha = 1.0
         new_traj = means
         if self.line_search:
+            # Armijo backtracking on the true nonlinear objective: the
+            # GN direction is a descent direction of eq. (4), so a
+            # sufficient-decrease step always exists.
             current_obj = state.objective
             while alpha >= self.min_step:
                 candidate = [
@@ -289,6 +207,7 @@ class GaussNewtonSmoother(SmootherBase):
                     break
                 alpha *= self.backtrack
             else:
+                # No acceptable step: (numerical) stationarity.
                 trace.converged = True
                 state.done = True
                 return
@@ -308,7 +227,7 @@ class GaussNewtonSmoother(SmootherBase):
             means=state.trajectory,
             covariances=covariances,
             residual_sq=trace.objectives[-1],
-            algorithm=f"gauss-newton[{self.batch_inner.name}]",
+            algorithm=f"gauss-newton[{self.inner.name}]",
             diagnostics={
                 "iterations": trace.iterations,
                 "converged": trace.converged,

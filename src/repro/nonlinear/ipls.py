@@ -66,12 +66,15 @@ class IteratedPosteriorLinearizationSmoother(SmootherBase):
         :class:`~repro.model.nonlinear.JacobianLinearizer` for the
         iterated extended Kalman smoother on the same driver.
     inner:
-        Batched linear smoother for the inner solves — any
+        Linear smoother for the inner solves — any
         :class:`~repro.api.Smoother` or registered name; defaults to
-        ``BatchSmoother(method="odd-even")``.  Statistical linearizers
-        need the smoothed covariances every iteration, so the inner
-        runs with covariances on; point linearizers iterate in NC mode
-        with one final covariance pass.
+        ``BatchSmoother(method="odd-even")``.  ``smooth`` and
+        ``smooth_many`` both drive it through
+        :func:`~repro.nonlinear.batched.drive_batched`, one
+        ``smooth_many`` call per outer iteration.  Statistical
+        linearizers need the smoothed covariances every iteration, so
+        the inner runs with covariances on; point linearizers iterate
+        in NC mode with one final covariance pass.
     max_iterations, tol, obj_tol:
         Outer iterations stop when the damped relative step norm falls
         below ``tol`` *or* the objective change falls below
@@ -104,7 +107,7 @@ class IteratedPosteriorLinearizationSmoother(SmootherBase):
             from ..batch.smoother import BatchSmoother
 
             inner = BatchSmoother(method="odd-even")
-        self.batch_inner = coerce_smoother(inner)
+        self.inner = coerce_smoother(inner)
         if not 0.0 < damping <= 1.0:
             raise ValueError(f"damping must be in (0, 1], got {damping}")
         self.max_iterations = max_iterations
@@ -149,10 +152,10 @@ class IteratedPosteriorLinearizationSmoother(SmootherBase):
     # ------------------------------------------------------------------
     # drive_batched hooks
     # ------------------------------------------------------------------
-    def _batch_inner_covariance(self):
+    def _batch_iteration_covariance(self):
         if self.linearizer.needs_covariance:
             return True
-        return _inner_nc(self.batch_inner)
+        return _inner_nc(self.inner)
 
     def _batch_final_cov_pass(self) -> bool:
         # SLR iterations already carry the smoothed covariances of the
@@ -239,7 +242,7 @@ class IteratedPosteriorLinearizationSmoother(SmootherBase):
             residual_sq=trace.objectives[-1],
             algorithm=(
                 f"ipls[{self.linearizer.name}"
-                f"+{self.batch_inner.name}]"
+                f"+{self.inner.name}]"
             ),
             diagnostics={
                 "iterations": trace.iterations,

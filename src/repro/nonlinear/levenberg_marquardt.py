@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..api import Capabilities, EstimatorConfig, SmootherBase, coerce_smoother
-from ..core.smoother import OddEvenSmoother
+from ..api.base import _cast_result
 from ..kalman.result import SmootherResult
-from ..model.nonlinear import NonlinearProblem, as_nonlinear
 from ..model.problem import StateSpaceProblem
 from ..model.steps import Observation, Step
+from .batched import IterateState, drive_batched, linearize_dtype
 from .ekf import extended_kalman_filter
 from .gauss_newton import _inner_nc
 
@@ -96,8 +96,15 @@ class LevenbergMarquardtSmoother(SmootherBase):
     Parameters
     ----------
     inner:
-        Linear smoother for the damped subproblems (NC mode forced) —
-        any :class:`~repro.api.Smoother` or a registered name.
+        Linear smoother for the damped subproblems — any
+        :class:`~repro.api.Smoother` or a registered name; defaults to
+        ``BatchSmoother(method="odd-even")``.  ``smooth`` and
+        ``smooth_many`` both drive it through
+        :func:`~repro.nonlinear.batched.drive_batched`: each outer
+        iteration solves the damped problems of every not-yet-converged
+        problem in ONE ``smooth_many`` call, in NC mode where the inner
+        supports it, and one final pass computes the covariances of the
+        *undamped* linearization at the solution.
     lambda0, lambda_up, lambda_down:
         Initial damping and the multiplicative adaptation factors on
         rejected/accepted steps.
@@ -117,15 +124,12 @@ class LevenbergMarquardtSmoother(SmootherBase):
         lambda_up: float = 10.0,
         lambda_down: float = 0.1,
         max_lambda: float = 1e12,
-        batch_inner=None,
     ):
-        inner = coerce_smoother(inner)
-        self.inner = inner if inner is not None else OddEvenSmoother()
-        if batch_inner is None:
+        if inner is None:
             from ..batch.smoother import BatchSmoother
 
-            batch_inner = BatchSmoother(method="odd-even")
-        self.batch_inner = coerce_smoother(batch_inner)
+            inner = BatchSmoother(method="odd-even")
+        self.inner = coerce_smoother(inner)
         self.max_iterations = max_iterations
         self.tol = tol
         self.lambda0 = lambda0
@@ -140,76 +144,7 @@ class LevenbergMarquardtSmoother(SmootherBase):
         *,
         initial: list[np.ndarray] | None = None,
     ) -> SmootherResult:
-        problem = as_nonlinear(problem)
-        inner_config = EstimatorConfig(
-            backend=config.backend,
-            compute_covariance=_inner_nc(self.inner),
-        )
-        trajectory = (
-            [np.asarray(x, dtype=float) for x in initial]
-            if initial is not None
-            else extended_kalman_filter(problem)
-        )
-        lam = self.lambda0
-        trace = LMTrace()
-        current_obj = problem.objective(trajectory)
-        trace.objectives.append(current_obj)
-        for _ in range(self.max_iterations):
-            linear = problem.linearize(trajectory)
-            damped = damp_problem(linear, trajectory, lam)
-            candidate = self.inner.smooth(damped, config=inner_config).means
-            new_obj = problem.objective(candidate)
-            if new_obj <= current_obj:
-                step_norm = np.sqrt(
-                    sum(
-                        float((a - b) @ (a - b))
-                        for a, b in zip(candidate, trajectory)
-                    )
-                )
-                trajectory = candidate
-                improvement = current_obj - new_obj
-                current_obj = new_obj
-                lam = max(lam * self.lambda_down, 1e-12)
-                trace.accepted.append(True)
-                trace.objectives.append(current_obj)
-                trace.lambdas.append(lam)
-                scale = np.sqrt(
-                    sum(float(a @ a) for a in trajectory)
-                )
-                if step_norm <= self.tol * max(scale, 1.0) or (
-                    improvement <= self.tol * max(current_obj, 1.0)
-                ):
-                    trace.converged = True
-                    break
-            else:
-                lam *= self.lambda_up
-                trace.accepted.append(False)
-                trace.objectives.append(current_obj)
-                trace.lambdas.append(lam)
-                if lam > self.max_lambda:
-                    break
-        covariances = None
-        if config.compute_covariance:
-            linear = problem.linearize(trajectory)
-            final = self.inner.smooth(
-                linear,
-                config=EstimatorConfig(
-                    backend=config.backend, compute_covariance=True
-                ),
-            )
-            covariances = final.covariances
-        return SmootherResult(
-            means=trajectory,
-            covariances=covariances,
-            residual_sq=current_obj,
-            algorithm=f"levenberg-marquardt[{self.inner.name}]",
-            diagnostics={
-                "iterations": trace.iterations,
-                "converged": trace.converged,
-                "final_lambda": lam,
-                "trace": trace,
-            },
-        )
+        return drive_batched(self, [problem], config, initials=[initial])[0]
 
     def smooth_many(
         self,
@@ -221,11 +156,10 @@ class LevenbergMarquardtSmoother(SmootherBase):
 
         Each problem keeps its own damping schedule and accept/reject
         decisions; only the inner linear solves are stacked (see
-        :func:`~repro.nonlinear.batched.drive_batched`).
+        :func:`~repro.nonlinear.batched.drive_batched`).  Slice ``j``
+        equals ``smooth(problems[j])``, which drives the same loop with
+        a workload of one.
         """
-        from ..api.base import _cast_result
-        from .batched import drive_batched
-
         problems = list(problems)
         if not problems:
             return []
@@ -240,15 +174,13 @@ class LevenbergMarquardtSmoother(SmootherBase):
     # ------------------------------------------------------------------
     # drive_batched hooks (see repro.nonlinear.batched)
     # ------------------------------------------------------------------
-    def _batch_inner_covariance(self):
-        return _inner_nc(self.batch_inner)
+    def _batch_iteration_covariance(self):
+        return _inner_nc(self.inner)
 
     def _batch_final_cov_pass(self) -> bool:
         return True
 
     def _batch_begin(self, problem, config, initial):
-        from .batched import IterateState
-
         trajectory = (
             [np.asarray(x, dtype=float) for x in initial]
             if initial is not None
@@ -263,16 +195,12 @@ class LevenbergMarquardtSmoother(SmootherBase):
         return state
 
     def _batch_emit(self, state, config):
-        from .batched import linearize_dtype
-
         linear = state.problem.linearize(
             state.trajectory, dtype=linearize_dtype(config)
         )
         return damp_problem(linear, state.trajectory, state.extra["lam"])
 
     def _batch_emit_final(self, state, config):
-        from .batched import linearize_dtype
-
         return state.problem.linearize(
             state.trajectory, dtype=linearize_dtype(config)
         )
@@ -318,7 +246,7 @@ class LevenbergMarquardtSmoother(SmootherBase):
             means=state.trajectory,
             covariances=covariances,
             residual_sq=state.objective,
-            algorithm=f"levenberg-marquardt[{self.batch_inner.name}]",
+            algorithm=f"levenberg-marquardt[{self.inner.name}]",
             diagnostics={
                 "iterations": trace.iterations,
                 "converged": trace.converged,

@@ -21,7 +21,7 @@ observability layer they all report through:
   format without a client-library dependency.
 * :class:`NullRegistry` — the off switch: swap it in via
   :func:`set_registry`/:func:`use_registry` and every instrument is a
-  shared no-op (``bench/batch.py --obs`` measures the difference).
+  shared no-op.
 
 The existing surfaces (``BatchSmoother.last_diagnostics``,
 ``PlanCache.stats()``, ``ShardedStreamServer.latency_stats()``) remain

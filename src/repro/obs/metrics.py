@@ -21,8 +21,7 @@ Design points:
   fake-clock tests already follow.
 * **Swap-out, not if-statements.**  Disabling metrics is swapping the
   process registry for a :class:`NullRegistry` whose instruments are
-  shared no-ops (see ``bench/batch.py --obs`` for the measured
-  overhead of leaving them on).
+  shared no-ops.
 """
 
 from __future__ import annotations
@@ -372,7 +371,7 @@ class NullRegistry(MetricsRegistry):
 
     Instrumented code is identical either way — swap this in with
     :func:`set_registry`/:func:`use_registry` to measure or remove
-    instrumentation overhead (``bench/batch.py --obs``).
+    instrumentation overhead.
     """
 
     enabled = False

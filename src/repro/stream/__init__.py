@@ -17,8 +17,7 @@ foundation:
     out-of-order and missing-observation arrivals (bounded via
     ``max_buffered``/``overflow`` backpressure), and micro-batched
     window solves through the stacked kernels of
-    :class:`~repro.batch.BatchSmoother`
-    (see ``repro.bench.stream`` for the throughput numbers).
+    :class:`~repro.batch.BatchSmoother`.
 
 :class:`~repro.stream.async_server.ShardedStreamServer` /
 :class:`~repro.stream.async_server.AsyncStreamServer`
@@ -26,8 +25,8 @@ foundation:
     independent server shards, adaptive micro-batching (flush on a
     ``max_batch`` size trigger or a ``max_delay`` deadline), shard
     flushes fanned out on a worker pool, per-emission latency
-    recording, and an asyncio wrapper
-    (see ``repro.bench.stream_latency`` for the load generator).
+    recording, and an asyncio wrapper (the repository benchmark's
+    ``serve-open`` workload drives it).
 """
 
 from .adaptive import AdaptiveBatchController

@@ -31,9 +31,9 @@ something:
     ``asyncio.Queue``.
 
 The core takes an injectable ``clock`` so deadline behavior is tested
-with a fake clock — no wall-clock sleeps in the test suite.  See
-``repro.bench.stream_latency`` for the load generator that drives
-1000+ concurrent streams through this front-end.
+with a fake clock — no wall-clock sleeps in the test suite.  The
+repository benchmark's ``serve-open`` workload drives 128 concurrent
+streams through this front-end at a fixed offered rate.
 """
 
 from __future__ import annotations

@@ -5,39 +5,9 @@ import json
 from repro.bench.harness import (
     ascii_curve,
     format_series_table,
-    median_time,
     results_dir,
     save_results,
 )
-
-
-class TestMedianTime:
-    def test_returns_median(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-
-        t = median_time(fn, repeats=5)
-        assert len(calls) == 5
-        assert t >= 0
-
-    def test_positional_args_reach_fn_not_repeats(self):
-        # Regression: with the old (fn, repeats, *args) signature the
-        # first positional argument silently became the repeat count.
-        seen = []
-
-        def fn(x, y=None):
-            seen.append((x, y))
-
-        median_time(fn, 7, y="arg", repeats=2)
-        assert seen == [(7, "arg"), (7, "arg")]
-
-    def test_repeats_is_keyword_only(self):
-        import inspect
-
-        param = inspect.signature(median_time).parameters["repeats"]
-        assert param.kind is inspect.Parameter.KEYWORD_ONLY
 
 
 class TestFormatting:

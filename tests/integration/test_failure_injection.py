@@ -331,12 +331,14 @@ class TestNaNPropagationGuard:
         "kalman-rts": "the RTS smoother",
         "associative": "the associative smoother",
         "normal-equations": "the normal-equations smoother",
+        "ultimate": "the ultimate smoother",
     }
 
     @pytest.mark.parametrize("name", sorted(SCAN_SMOOTHERS))
     def test_other_smoothers_name_step_field_and_smoother(self, name):
         """The filter, the scans and cyclic reduction used to return NaN
-        means for a NaN observation, without an error."""
+        means for a NaN observation, without an error; the ultimate
+        adapter named its inner odd-even smoother."""
         import repro
 
         p = random_problem(k=6, seed=5, dims=2)

@@ -53,20 +53,19 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("name", NONLINEAR_NAMES)
     def test_slice_for_slice_agreement_with_smooth(self, name):
-        """GN and LM's sequential ``smooth`` uses a different inner
-        solver (OddEvenSmoother vs the stacked batch kernels), so the
-        bar there is 1e-8 agreement; IPLS shares one engine and is
-        exact."""
+        """``smooth`` drives the same loop and inner smoother with a
+        workload of one, so every slice is exact."""
         problems = fleet(6)
         s = repro.make_smoother(name)
         batched = s.smooth_many(problems)
         looped = [s.smooth(p) for p in problems]
         for a, b in zip(batched, looped):
+            assert a.diagnostics["iterations"] == b.diagnostics["iterations"]
             for x, y in zip(a.means, b.means):
-                np.testing.assert_allclose(x, y, atol=1e-8)
+                assert np.array_equal(x, y)
             assert a.covariances is not None
             for x, y in zip(a.covariances, b.covariances):
-                np.testing.assert_allclose(x, y, atol=1e-6)
+                assert np.array_equal(x, y)
 
 
 class TestOneStackedSolvePerIteration:
@@ -165,12 +164,22 @@ class TestEdgesAndDtype:
     def test_empty_workload(self, name):
         assert repro.make_smoother(name).smooth_many([]) == []
 
-    def test_singleton_fleet_equals_smooth(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", NONLINEAR_NAMES)
+    def test_singleton_fleet_equals_smooth(self, name, dtype):
+        """``smooth`` keeps every field of the config: a float32
+        ``smooth(p)`` must solve in float32, as ``smooth_many([p])``
+        does, and take as many iterations."""
         p = pendulum_problem(25, seed=7)[0]
-        s = IteratedPosteriorLinearizationSmoother()
-        a = s.smooth_many([p])[0]
-        b = s.smooth(p)
+        s = repro.make_smoother(name)
+        config = EstimatorConfig(dtype=dtype)
+        a = s.smooth_many([p], config=config)[0]
+        b = s.smooth(p, config=config)
+        assert a.diagnostics["iterations"] == b.diagnostics["iterations"]
+        assert b.means[0].dtype == dtype
         for x, y in zip(a.means, b.means):
+            assert np.array_equal(x, y)
+        for x, y in zip(a.covariances, b.covariances):
             assert np.array_equal(x, y)
 
     def test_mixed_precision_config(self):

@@ -106,3 +106,22 @@ class TestLMSolver:
             problem, config=EstimatorConfig(compute_covariance=False)
         )
         assert result.covariances is None
+
+    def test_covariances_are_those_of_the_undamped_linearization(self):
+        """The iterations solve damped problems, but the reported
+        covariances come from the undamped linearization at the
+        solution (the damped ones differ here by about 0.15)."""
+        from repro.batch import BatchSmoother
+
+        problem, _ = pendulum_problem(k=30, seed=9)
+        other, _ = pendulum_problem(k=30, seed=10)
+        lm = LevenbergMarquardtSmoother(
+            lambda0=1.0, lambda_down=1.0, max_iterations=3
+        )
+        for result in (
+            lm.smooth(problem),
+            lm.smooth_many([other, problem])[1],
+        ):
+            undamped = BatchSmoother().smooth(problem.linearize(result.means))
+            for x, y in zip(result.covariances, undamped.covariances):
+                assert np.array_equal(x, y)

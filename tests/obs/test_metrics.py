@@ -2,7 +2,9 @@
 registry get-or-create, and the NullRegistry swap-out."""
 
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -197,3 +199,35 @@ class TestNullRegistry:
             ]
             results = s.smooth_many(problems)
         assert len(results) == 3
+
+    def test_metrics_on_overhead_is_bounded(self):
+        """A live registry costs the warm plan-cached hot path less
+        than 10% over the metrics-off configuration: the instruments
+        are updated per call, not per sequence.  On/off calls are
+        interleaved, one pair per round, so a slow phase of a shared
+        host lands on both sides."""
+        import repro
+
+        smoother = repro.BatchSmoother()
+        problems = [
+            repro.random_problem(k=7, seed=i, dims=4, random_cov=True)
+            for i in range(64)
+        ]
+        config = repro.EstimatorConfig(plan_cache=repro.PlanCache())
+        live, null = MetricsRegistry(), NullRegistry()
+
+        def seconds(registry):
+            with use_registry(registry):
+                t0 = time.perf_counter()
+                smoother.smooth_many(problems, config=config)
+                return time.perf_counter() - t0
+
+        # Build the plan and the live instruments before timing.
+        seconds(null)
+        seconds(live)
+        off, on = [], []
+        for _ in range(15):
+            off.append(seconds(null))
+            on.append(seconds(live))
+        ratio = np.median(on) / np.median(off)
+        assert ratio < 1.10, f"metrics-on overhead ratio {ratio:.3f}"

@@ -1,9 +1,9 @@
 """The sharded serving front-end: deadlines, batching, sharding.
 
 Deadline behavior is tested with an injected fake clock — no test in
-this file sleeps.  Correctness is pinned by the same contract the
-bench uses: every emission must match the batch smooth of its
-``frontier`` prefix problem.
+this file sleeps.  Correctness is pinned by the fixed-lag contract:
+every emission must match the batch smooth of its ``frontier`` prefix
+problem.
 """
 
 import asyncio
@@ -11,9 +11,10 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.api import ServingConfig, make_smoother
 from repro.model.generators import random_problem
-from repro.parallel.backend import ThreadPoolBackend
+from repro.parallel.backend import ThreadPoolBackend, worker_pool
 from repro.stream import (
     AsyncStreamServer,
     ShardedStreamServer,
@@ -224,8 +225,8 @@ class TestBatchFlush:
 
 class TestServingCorrectness:
     def check_contract(self, problems, collected):
-        """Every emission matches the batch smooth of its frontier
-        prefix — the same contract ``repro.bench.stream`` enforces."""
+        """Every stream emits each of its states once, and every
+        emission matches the batch smooth of its frontier prefix."""
         smoother = make_smoother("odd-even")
         for sid, p in problems.items():
             assert len(collected[sid]) == p.n_states
@@ -313,6 +314,39 @@ class TestServingCorrectness:
             for a, b in zip(serial[sid], threaded[sid]):
                 assert a.index == b.index
                 np.testing.assert_array_equal(a.mean, b.mean)
+
+    def test_worker_pool_run_exports_the_required_series(self):
+        """A serving run on a worker pool, under its own registry,
+        exports the plan-cache hits, the batch phases and the
+        emission-latency summary in the Prometheus text format."""
+        problems = make_streams(24, 6, n=2, seed=500)
+        config = ServingConfig(
+            shards=3, max_batch=16, max_delay=0.002, latency_slo=0.050
+        )
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry), worker_pool(2) as backend:
+            server = ShardedStreamServer(
+                lag=2, config=config, backend=backend, registry=registry
+            )
+            collected = self.drive(server, problems)
+        for sid, p in problems.items():
+            assert len(collected[sid]) == p.n_states
+        series = obs.parse_prometheus(obs.to_prometheus(registry))
+        hits = sum(s["value"] for s in series["repro_plan_cache_hits_total"])
+        assert hits > 0
+        phases = {
+            s["labels"].get("phase")
+            for s in series["repro_batch_phase_seconds"]
+        }
+        assert {"stack", "factorize", "solve"} <= phases
+        p99 = [
+            s["value"]
+            for s in series["repro_serving_emission_latency_seconds"]
+            if s["labels"].get("quantile") == "0.99"
+        ]
+        assert len(p99) == 1 and p99[0] >= 0.0
+        count = series["repro_serving_emission_latency_seconds_count"]
+        assert count[0]["value"] > 0
 
     def test_backpressure_is_forwarded_to_shards(self):
         from repro.errors import ReorderBufferFullError
