@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro import obs
 from repro.api import EstimatorConfig
+from repro.batch.plan import PlanCache
 from repro.model.nonlinear import pendulum_problem
 from repro.nonlinear.gauss_newton import GaussNewtonSmoother
 from repro.nonlinear.ipls import IteratedPosteriorLinearizationSmoother
@@ -164,24 +165,37 @@ class TestEdgesAndDtype:
     def test_empty_workload(self, name):
         assert repro.make_smoother(name).smooth_many([]) == []
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, "mixed"])
     @pytest.mark.parametrize("name", NONLINEAR_NAMES)
     def test_singleton_fleet_equals_smooth(self, name, dtype):
         """``smooth`` keeps every field of the config: a float32
         ``smooth(p)`` must solve in float32, as ``smooth_many([p])``
-        does, and take as many iterations."""
+        does, and take as many iterations; a ``"mixed"`` one solves in
+        float32 and reports float64."""
         p = pendulum_problem(25, seed=7)[0]
         s = repro.make_smoother(name)
         config = EstimatorConfig(dtype=dtype)
         a = s.smooth_many([p], config=config)[0]
         b = s.smooth(p, config=config)
         assert a.diagnostics["iterations"] == b.diagnostics["iterations"]
-        assert b.means[0].dtype == dtype
+        assert b.means[0].dtype == (np.float64 if dtype == "mixed" else dtype)
         for x, y in zip(a.means, b.means):
             assert np.array_equal(x, y)
         for x, y in zip(a.covariances, b.covariances):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("name", NONLINEAR_NAMES)
+    def test_smooth_solves_in_the_configured_plan_cache(self, name):
+        """``smooth`` hands its inner smoother the caller's plan cache,
+        as ``smooth_many`` does; GN and LM used to drop it and build
+        every iteration's plan in a private cache."""
+        p = pendulum_problem(25, seed=7)[0]
+        s = repro.make_smoother(name)
+        solo, fleet_of_one = PlanCache(), PlanCache()
+        s.smooth(p, config=EstimatorConfig(plan_cache=solo))
+        s.smooth_many([p], config=EstimatorConfig(plan_cache=fleet_of_one))
+        assert solo.hits > 0
+        assert solo.stats() == fleet_of_one.stats()
     def test_mixed_precision_config(self):
         """dtype='mixed' re-linearizes in float64 (the refinement
         contract needs the true model) while the stacked solves run

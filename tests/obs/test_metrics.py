@@ -203,9 +203,11 @@ class TestNullRegistry:
     def test_metrics_on_overhead_is_bounded(self):
         """A live registry costs the warm plan-cached hot path less
         than 10% over the metrics-off configuration: the instruments
-        are updated per call, not per sequence.  On/off calls are
-        interleaved, one pair per round, so a slow phase of a shared
-        host lands on both sides."""
+        are updated per call, not per sequence.  Each call is timed in
+        this process's CPU time, so other processes on a shared host do
+        not count, and the ratio is the median over rounds of one
+        interleaved on/off pair's ratio, so a slow phase of the host
+        lands on both sides of the pair it falls in."""
         import repro
 
         smoother = repro.BatchSmoother()
@@ -218,9 +220,9 @@ class TestNullRegistry:
 
         def seconds(registry):
             with use_registry(registry):
-                t0 = time.perf_counter()
+                t0 = time.process_time()
                 smoother.smooth_many(problems, config=config)
-                return time.perf_counter() - t0
+                return time.process_time() - t0
 
         # Build the plan and the live instruments before timing.
         seconds(null)
@@ -229,5 +231,5 @@ class TestNullRegistry:
         for _ in range(15):
             off.append(seconds(null))
             on.append(seconds(live))
-        ratio = np.median(on) / np.median(off)
+        ratio = np.median(np.divide(on, off))
         assert ratio < 1.10, f"metrics-on overhead ratio {ratio:.3f}"
