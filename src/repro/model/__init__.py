@@ -23,6 +23,7 @@ from .nonlinear import (
     coordinated_turn_problem,
     cubic_sensor_problem,
     pendulum_problem,
+    pointwise,
 )
 from .problem import StateSpaceProblem, WhitenedProblem, WhitenedStep
 from .simulate import (
@@ -57,6 +58,7 @@ __all__ = [
     "coordinated_turn_problem",
     "cubic_sensor_problem",
     "pendulum_problem",
+    "pointwise",
     "StateSpaceProblem",
     "WhitenedProblem",
     "WhitenedStep",

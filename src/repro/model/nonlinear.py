@@ -21,6 +21,11 @@ the surrogate is produced is a policy, captured by the
   (:class:`~repro.nonlinear.ipls.IteratedPosteriorLinearizationSmoother`)
   re-linearizes with around the current smoothed marginals.
 
+Model functions are batched (:class:`NonlinearFunction`): each takes a
+stack of points, so the linearizers and the objective call it once per
+group of equations of one shape (:class:`EquationGroup`) instead of
+once per point; :func:`pointwise` adapts a function of one point.
+
 This module holds the nonlinear model description, the linearization
 layer, and four benchmark systems (pendulum, coordinated turn,
 bearings-only tunnel, cubic sensor).
@@ -46,7 +51,10 @@ __all__ = [
     "LinearizedFn",
     "JacobianLinearizer",
     "SigmaPointLinearizer",
+    "EquationGroup",
+    "EquationGroups",
     "as_nonlinear",
+    "pointwise",
     "pendulum_problem",
     "coordinated_turn_problem",
     "bearings_only_tunnel_problem",
@@ -56,11 +64,20 @@ __all__ = [
 
 @dataclass
 class NonlinearFunction:
-    """A differentiable vector function with its Jacobian.
+    """A differentiable vector function with its Jacobian, on stacks.
 
-    ``fn(x) -> y`` and ``jacobian(x) -> dy/dx``.  When ``jacobian`` is
-    omitted a central finite difference is used (tests verify analytic
-    Jacobians against it).
+    ``fn`` maps an ``(..., n)`` stack of points to the ``(..., m)``
+    stack of their values and ``jacobian`` maps it to the
+    ``(..., m, n)`` stack of their Jacobians; one ``(n,)`` point is the
+    unstacked case.  The linearizers and the objective call a function
+    once on all of its points in one shape group, so write it with
+    elementwise operations on the columns ``x[..., j]`` and apply a
+    matrix ``a`` as ``(a @ x[..., None])[..., 0]``, which rounds like
+    ``a @ x`` on each point.  A function of one point goes through
+    :func:`pointwise`; a function whose output does not keep the
+    points' leading shape raises ``ValueError``.  When ``jacobian`` is
+    omitted a central finite difference over the whole stack is used,
+    one column at a time (tests verify analytic Jacobians against it).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -68,19 +85,63 @@ class NonlinearFunction:
     fd_step: float = 1e-6
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        return _checked(self.fn(x), x, "values", 1)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.jacobian is not None:
-            return np.atleast_2d(np.asarray(self.jacobian(x), dtype=float))
-        y0 = self(x)
-        jac = np.zeros((y0.shape[0], x.shape[0]))
-        for j in range(x.shape[0]):
-            dx = np.zeros_like(x)
+            return _checked(self.jacobian(x), x, "Jacobians", 2)
+        dx = np.zeros(x.shape[-1])
+        columns = []
+        for j in range(x.shape[-1]):
             dx[j] = self.fd_step
-            jac[:, j] = (self(x + dx) - self(x - dx)) / (2 * self.fd_step)
-        return jac
+            columns.append((self(x + dx) - self(x - dx)) / (2 * self.fd_step))
+            dx[j] = 0.0
+        return np.stack(columns, axis=-1)
+
+
+def _checked(out, x: np.ndarray, what: str, trailing: int) -> np.ndarray:
+    """``out`` as a C-ordered float array, once it is known to hold one
+    value (``trailing=1``) or Jacobian (``trailing=2``) per point."""
+    out = np.asarray(out, dtype=float)
+    lead = x.shape[:-1]
+    if (
+        out.ndim != len(lead) + trailing
+        or out.shape[: len(lead)] != lead
+        or (trailing == 2 and out.shape[-1] != x.shape[-1])
+    ):
+        raise ValueError(
+            f"a NonlinearFunction returned {what} of shape {out.shape} for "
+            f"points of shape {x.shape}; it must map (..., n) points to "
+            "(..., m) values and (..., m, n) Jacobians.  Wrap functions of "
+            "one point in pointwise(fn, jacobian)"
+        )
+    return np.ascontiguousarray(out)
+
+
+def pointwise(fn, jacobian=None) -> NonlinearFunction:
+    """A :class:`NonlinearFunction` from functions of one ``(n,)`` point.
+
+    ``fn(x)`` returns the point's ``(m,)`` value and ``jacobian(x)`` its
+    ``(m, n)`` Jacobian; the adapter calls them once per point of a
+    stack.  It is the only per-point loop of the linearization layer,
+    for models that cannot be written on stacks (and as the one-point
+    reference that batched functions are tested against).
+    """
+    return NonlinearFunction(
+        _each_point(fn, np.asarray),
+        None if jacobian is None else _each_point(jacobian, np.atleast_2d),
+    )
+
+
+def _each_point(f, shape):
+    def over_points(x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(-1, x.shape[-1])
+        out = np.stack([shape(np.asarray(f(p), dtype=float)) for p in flat])
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+
+    return over_points
 
 
 @dataclass(frozen=True)
@@ -113,9 +174,11 @@ class Linearizer(Protocol):
     an ``(N, n)`` ``mean``, an ``(N, n, n)`` ``cov`` and ``fn`` either
     one function or a sequence of ``N`` (one per point), it returns
     stacked arrays; a single ``(n,)`` point is the ``N = 1`` case and
-    returns unstacked ones.  ``needs_covariance`` advertises whether
-    ``cov`` is required — callers without marginal covariances (plain
-    Gauss–Newton) check it up front instead of failing mid-sweep.
+    returns unstacked ones.  Both linearizers here call each distinct
+    function once, on the stack of all of its points.
+    ``needs_covariance`` advertises whether ``cov`` is required —
+    callers without marginal covariances (plain Gauss–Newton) check it
+    up front instead of failing mid-sweep.
     """
 
     name: str
@@ -129,8 +192,8 @@ class Linearizer(Protocol):
     ) -> LinearizedFn: ...
 
 
-def _stacked(fn, mean, cov):
-    """``(fns, mean, cov, single)`` with a leading point axis."""
+def _stacked(mean, cov):
+    """``(mean, cov, single)`` with a leading point axis."""
     mean = np.asarray(mean, dtype=float)
     single = mean.ndim == 1
     if single:
@@ -139,12 +202,34 @@ def _stacked(fn, mean, cov):
         cov = np.asarray(cov, dtype=float)
         if single:
             cov = cov[None]
-    fns = [fn] * len(mean) if callable(fn) else list(fn)
-    if len(fns) != len(mean):
+    return mean, cov, single
+
+
+def _evaluate(fn, points: np.ndarray, jacobian: bool = False) -> np.ndarray:
+    """Values (or Jacobians) at a stack of points of ``fn``, one
+    function or one per point: each distinct function (by identity) is
+    called once, on the stack of its own points."""
+
+    def call(f, x):
+        return f.jac(x) if jacobian else f(x)
+
+    if callable(fn):
+        return call(fn, points)
+    fns = list(fn)
+    if len(fns) != len(points):
         raise ValueError(
-            f"got {len(fns)} functions for {len(mean)} linearization points"
+            f"got {len(fns)} functions for {len(points)} linearization points"
         )
-    return fns, mean, cov, single
+    parts: dict[int, tuple] = {}
+    for j, f in enumerate(fns):
+        parts.setdefault(id(f), (f, []))[1].append(j)
+    if len(parts) == 1:
+        return call(fns[0], points)
+    values = [(pos, call(f, points[pos])) for f, pos in parts.values()]
+    out = np.empty((len(points),) + values[0][1].shape[1:])
+    for pos, part in values:
+        out[pos] = part
+    return out
 
 
 def _unstacked(lf: LinearizedFn, single: bool) -> LinearizedFn:
@@ -177,9 +262,9 @@ class JacobianLinearizer:
         mean: np.ndarray,
         cov: np.ndarray | None = None,
     ) -> LinearizedFn:
-        fns, mean, _, single = _stacked(fn, mean, None)
-        f = np.stack([g.jac(x) for g, x in zip(fns, mean)])
-        y = np.stack([g(x) for g, x in zip(fns, mean)])
+        mean, _, single = _stacked(mean, None)
+        f = _evaluate(fn, mean, jacobian=True)
+        y = _evaluate(fn, mean)
         return _unstacked(LinearizedFn(F=f, c=y - _matvec(f, mean)), single)
 
 
@@ -252,12 +337,11 @@ class SigmaPointLinearizer:
                 "N(mean, cov): pass the marginal covariances (IPLS "
                 "threads the current smoothed covariances here)"
             )
-        fns, mean, cov, single = _stacked(fn, mean, cov)
-        count, n = mean.shape
+        mean, cov, single = _stacked(mean, cov)
+        n = mean.shape[1]
         _, w_mean, w_cov = self.weights(n)
         points = self.sigma_points(mean, cov)
-        ys = np.stack([g(p) for g, pts in zip(fns, points) for p in pts])
-        ys = ys.reshape(count, 2 * n + 1, -1)
+        ys = _evaluate(fn, points)
         ybar = w_mean @ ys
         # C order lays each slice out as the one-point expression does,
         # so the products below make the same BLAS calls per slice.
@@ -397,52 +481,6 @@ def _model_factors(covs, rows: int, what: str, steps: list[int], dtype=None):
     return spd_cholesky(stack, what, names=_step_names(steps))
 
 
-def _group_noise(covs, rows: int, omega, dtype, what: str, steps: list[int]):
-    """The noise of each linearized equation of one group.
-
-    Point linearizations (``omega is None``) keep the model covariance:
-    a scalar, ``Whitener`` or ``None`` passes through untouched and a
-    matrix becomes the whitener of its factor.  Statistical
-    linearizations build the model covariance ``S S^T`` from its
-    validated factor, add the SLR residual covariance and validate and
-    factor the sums in one stacked call.  ``dtype`` casts the matrices
-    that are factored.
-    """
-    if _is_matrix(covs[0]):
-        factors = _model_factors(
-            covs, rows, what, steps, dtype if omega is None else None
-        )
-        if omega is None:
-            return [Whitener(f, kind="factor", what=what) for f in factors]
-        model = factors @ np.swapaxes(factors, 1, 2)
-    elif omega is None:
-        return list(covs)
-    else:
-        model = np.stack(
-            [_as_cov_whitener(cov, rows, what).covariance() for cov in covs]
-        )
-    factors = spd_cholesky(
-        _cast(model + omega, dtype), f"{what} + omega", names=_step_names(steps)
-    )
-    return [Whitener(f, kind="factor", what=what) for f in factors]
-
-
-def _whitened_squares(resid: np.ndarray, covs, what: str, steps: list[int]):
-    """``|V r|^2`` of each residual row, whitened exactly as its own
-    :meth:`Whitener.whiten` would."""
-    rows = resid.shape[1]
-    if _is_matrix(covs[0]):
-        white = whiten_each(_model_factors(covs, rows, what, steps), resid)
-    else:
-        white = np.stack(
-            [
-                _as_cov_whitener(cov, rows, what).whiten(r)
-                for cov, r in zip(covs, resid)
-            ]
-        )
-    return np.vecdot(white, white)
-
-
 def _offset(step: NonlinearStep) -> np.ndarray:
     return step.c if step.c is not None else np.zeros(step.state_dim)
 
@@ -451,11 +489,115 @@ def _stack_at(arrays, indices: list[int]):
     return None if arrays is None else np.stack([arrays[i] for i in indices])
 
 
+@dataclass(frozen=True, eq=False)
+class EquationGroup:
+    """Equations of one kind and one shape, handled in stacked calls.
+
+    ``steps`` are the equations' steps in order and ``sources`` the
+    steps whose states they read: the previous one for an evolution,
+    the step's own for an observation.  ``fn`` is the model function
+    they share, or one per equation.  ``data`` stacks the offsets
+    ``c_i`` of evolutions or the observed values ``o_i``.  ``model``
+    stacks the model covariances.  Matrix covariances are validated and
+    factored once, into ``factors``; scalars, ``None`` and
+    :class:`Whitener` objects become one whitener each, ``whiteners``.
+    """
+
+    what: str
+    steps: list[int]
+    sources: list[int]
+    fn: NonlinearFunction | list[NonlinearFunction]
+    data: np.ndarray
+    covs: list
+    factors: np.ndarray | None
+    whiteners: list[Whitener] | None
+    model: np.ndarray
+
+    @classmethod
+    def build(cls, what, steps, sources, fns, data, covs) -> "EquationGroup":
+        """The group, with its model covariances validated and factored."""
+        rows = data.shape[1]
+        factors = whiteners = None
+        if _is_matrix(covs[0]):
+            factors = _model_factors(covs, rows, what, steps)
+            model = factors @ np.swapaxes(factors, 1, 2)
+        else:
+            whiteners = [_as_cov_whitener(cov, rows, what) for cov in covs]
+            model = np.stack([w.covariance() for w in whiteners])
+        shared = all(f is fns[0] for f in fns)
+        return cls(
+            what=what,
+            steps=steps,
+            sources=sources,
+            fn=fns[0] if shared else fns,
+            data=data,
+            covs=covs,
+            factors=factors,
+            whiteners=whiteners,
+            model=model,
+        )
+
+    def points(self, states: list[np.ndarray]) -> np.ndarray:
+        """The stack of states the equations read."""
+        return _stack_at(states, self.sources)
+
+    def predict(self, states: list[np.ndarray]) -> np.ndarray:
+        """The model functions' values at :meth:`points`, one call per
+        distinct function."""
+        return _evaluate(self.fn, self.points(states))
+
+    def noise(self, omega, dtype) -> list:
+        """The noise of each linearized equation.
+
+        Point linearizations (``omega is None``) keep the model
+        covariance: a matrix becomes the whitener of its factor
+        (factored again from the matrix cast to ``dtype`` when one is
+        given), anything else its own whitener.  Statistical
+        linearizations add the SLR residual covariance to the model
+        covariance and validate and factor the sums, cast to ``dtype``,
+        in one stacked call.
+        """
+        if omega is None:
+            if self.factors is None:
+                return self.whiteners
+            factors = self.factors
+            if dtype is not None:
+                factors = _model_factors(
+                    self.covs, self.data.shape[1], self.what, self.steps, dtype
+                )
+        else:
+            factors = spd_cholesky(
+                _cast(self.model + omega, dtype),
+                f"{self.what} + omega",
+                names=_step_names(self.steps),
+            )
+        return [Whitener(f, kind="factor", what=self.what) for f in factors]
+
+    def squares(self, resid: np.ndarray) -> np.ndarray:
+        """``|V r|^2`` of each residual row, whitened exactly as its own
+        :meth:`Whitener.whiten` would."""
+        if self.factors is not None:
+            white = whiten_each(self.factors, resid)
+        else:
+            white = np.stack([w.whiten(r) for w, r in zip(self.whiteners, resid)])
+        return np.vecdot(white, white)
+
+
+@dataclass(frozen=True, eq=False)
+class EquationGroups:
+    """A problem's evolution and observation equations, grouped by
+    shape (:meth:`NonlinearProblem.equation_groups`)."""
+
+    evolution: list[EquationGroup]
+    observation: list[EquationGroup]
+
+
 class NonlinearProblem:
     """A nonlinear estimation problem (``H_i = I`` throughout).
 
     Construction rejects non-finite observations, offsets, noise
-    covariances and prior data, naming the step and field.
+    covariances and prior data, naming the step and field, and an
+    observation without an observation function.
     """
 
     def __init__(
@@ -469,6 +611,10 @@ class NonlinearProblem:
             if s.evolution_fn is None:
                 raise ValueError(f"step {i} is missing its evolution function")
         for i, s in enumerate(steps):
+            if s.observation is not None and s.observation_fn is None:
+                raise ValueError(
+                    f"step {i} has an observation but no observation function"
+                )
             for name in _FINITE_FIELDS:
                 value = getattr(s, name)
                 if value is None or isinstance(value, Whitener):
@@ -491,33 +637,77 @@ class NonlinearProblem:
     def state_dims(self) -> list[int]:
         return [s.state_dim for s in self.steps]
 
-    def _evolution_groups(self, states: list[np.ndarray]) -> list[list[int]]:
-        """Steps whose evolution equations share their shapes."""
+    def equation_groups(self) -> EquationGroups:
+        """The equations grouped by kind and shape, with their model
+        covariances validated and factored.
+
+        :meth:`linearize` and :meth:`objective` build these on every
+        call unless passed ``groups=``: an iterated smoother builds
+        them once per ``smooth`` call and passes them to each of its
+        calls.  They describe the steps as they are now; build them
+        again after changing a step.  Errors name the step.
+        """
         steps = self.steps
-        return _group_by(
+        evolution = _group_by(
             (i for i in range(1, len(steps)) if steps[i].evolution_fn is not None),
             lambda i: (
-                states[i - 1].shape,
+                steps[i - 1].state_dim,
                 steps[i].state_dim,
                 _cov_key(steps[i].evolution_cov),
             ),
         )
-
-    def _observation_groups(self, states: list[np.ndarray]) -> list[list[int]]:
-        """Steps whose observation equations share their shapes."""
-        steps = self.steps
-        return _group_by(
+        observation = _group_by(
             (
                 i
                 for i, s in enumerate(steps)
                 if s.observation_fn is not None and s.observation is not None
             ),
             lambda i: (
-                states[i].shape,
+                steps[i].state_dim,
                 np.shape(steps[i].observation),
                 _cov_key(steps[i].observation_cov),
             ),
         )
+        return EquationGroups(
+            evolution=[
+                EquationGroup.build(
+                    "evolution covariance K",
+                    idx,
+                    [i - 1 for i in idx],
+                    [steps[i].evolution_fn for i in idx],
+                    np.stack([np.asarray(_offset(steps[i]), float) for i in idx]),
+                    [steps[i].evolution_cov for i in idx],
+                )
+                for idx in evolution
+            ],
+            observation=[
+                EquationGroup.build(
+                    "observation covariance L",
+                    idx,
+                    idx,
+                    [steps[i].observation_fn for i in idx],
+                    np.stack([np.asarray(steps[i].observation, float) for i in idx]),
+                    [steps[i].observation_cov for i in idx],
+                )
+                for idx in observation
+            ],
+        )
+
+    def _states(self, trajectory) -> list[np.ndarray]:
+        """The trajectory as float arrays, one ``(n_i,)`` state per step."""
+        if len(trajectory) != len(self.steps):
+            raise ValueError(
+                f"trajectory has {len(trajectory)} states, problem has "
+                f"{len(self.steps)}"
+            )
+        states = [np.asarray(u, dtype=float) for u in trajectory]
+        for i, (u, s) in enumerate(zip(states, self.steps)):
+            if u.shape != (s.state_dim,):
+                raise ValueError(
+                    f"trajectory state {i} has shape {u.shape}, expected "
+                    f"({s.state_dim},)"
+                )
+        return states
 
     def linearize(
         self,
@@ -526,6 +716,7 @@ class NonlinearProblem:
         linearizer: Linearizer | None = None,
         covariances: list[np.ndarray] | None = None,
         dtype: np.dtype | type | None = None,
+        groups: EquationGroups | None = None,
     ) -> StateSpaceProblem:
         """Linear problem whose solution is the next iterate.
 
@@ -546,16 +737,14 @@ class NonlinearProblem:
         mixed-precision batched path is not silently defeated by
         float64 inputs.
 
-        Equations with the same shapes are linearized together: one
-        stacked linearizer call per group, and one stacked validation
-        and factorization per group of the noise covariances it needs.
+        Equations with the same shapes (:meth:`equation_groups`, or
+        ``groups`` when given) are linearized together: one stacked
+        linearizer call per group, which calls each model function once
+        on the stack of its points, and one stacked validation and
+        factorization per group of the inflated noise covariances.
         Their errors name the step.
         """
-        if len(trajectory) != len(self.steps):
-            raise ValueError(
-                f"trajectory has {len(trajectory)} states, problem has "
-                f"{len(self.steps)}"
-            )
+        states = self._states(trajectory)
         lin = linearizer if linearizer is not None else JacobianLinearizer()
         if covariances is not None and len(covariances) != len(self.steps):
             raise ValueError(
@@ -568,54 +757,34 @@ class NonlinearProblem:
                 "covariances; pass covariances= (IPLS threads the "
                 "current smoothed covariances automatically)"
             )
-        steps = self.steps
-        states = [np.asarray(u, dtype=float) for u in trajectory]
-        evolutions: dict[int, Evolution] = {}
-        for idx in self._evolution_groups(states):
-            prev = [i - 1 for i in idx]
+        groups = groups if groups is not None else self.equation_groups()
+
+        def linearized(g: EquationGroup):
             lf = lin.linearize(
-                [steps[i].evolution_fn for i in idx],
-                np.stack([states[i] for i in prev]),
-                _stack_at(covariances, prev),
+                g.fn, g.points(states), _stack_at(covariances, g.sources)
             )
-            c = _cast(np.stack([_offset(steps[i]) for i in idx]) + lf.c, dtype)
-            noise = _group_noise(
-                [steps[i].evolution_cov for i in idx],
-                steps[idx[0]].state_dim,
-                lf.omega,
-                dtype,
-                "evolution covariance K",
-                idx,
-            )
+            return lf, g.noise(lf.omega, dtype)
+
+        evolutions: dict[int, Evolution] = {}
+        for g in groups.evolution:
+            lf, noise = linearized(g)
+            c = _cast(g.data + lf.c, dtype)
             f = _cast(lf.F, dtype)
-            for j, i in enumerate(idx):
+            for j, i in enumerate(g.steps):
                 evolutions[i] = Evolution(F=f[j], c=c[j], K=noise[j])
         observations: dict[int, Observation] = {}
-        for idx in self._observation_groups(states):
-            lf = lin.linearize(
-                [steps[i].observation_fn for i in idx],
-                np.stack([states[i] for i in idx]),
-                _stack_at(covariances, idx),
-            )
-            o = np.stack([np.asarray(steps[i].observation, dtype=float) for i in idx])
-            noise = _group_noise(
-                [steps[i].observation_cov for i in idx],
-                o.shape[1],
-                lf.omega,
-                dtype,
-                "observation covariance L",
-                idx,
-            )
-            g, o = _cast(lf.F, dtype), _cast(o - lf.c, dtype)
-            for j, i in enumerate(idx):
-                observations[i] = Observation(G=g[j], o=o[j], L=noise[j])
+        for g in groups.observation:
+            lf, noise = linearized(g)
+            gm, o = _cast(lf.F, dtype), _cast(g.data - lf.c, dtype)
+            for j, i in enumerate(g.steps):
+                observations[i] = Observation(G=gm[j], o=o[j], L=noise[j])
         out = [
             Step(
                 state_dim=s.state_dim,
                 evolution=evolutions.get(i),
                 observation=observations.get(i),
             )
-            for i, s in enumerate(steps)
+            for i, s in enumerate(self.steps)
         ]
         prior = self.prior
         if dtype is not None and prior is not None:
@@ -625,41 +794,29 @@ class NonlinearProblem:
             )
         return StateSpaceProblem(out, prior=prior)
 
-    def objective(self, trajectory: list[np.ndarray]) -> float:
+    def objective(
+        self,
+        trajectory: list[np.ndarray],
+        *,
+        groups: EquationGroups | None = None,
+    ) -> float:
         """The nonlinear generalized least-squares objective (paper eq. 4).
 
-        Equations with the same shapes are evaluated and whitened
-        together, then the squares are added one equation at a time:
-        the prior first, then each step's evolution and observation
-        term.  The sum is therefore the same, bit for bit, as whitening
-        and adding each equation on its own.
+        Equations with the same shapes (:meth:`equation_groups`, or
+        ``groups`` when given) are evaluated and whitened together, one
+        call per model function, then the squares are added one
+        equation at a time: the prior first, then each step's evolution
+        and observation term.  The sum is therefore the same, bit for
+        bit, as whitening and adding each equation on its own.
         """
-        steps = self.steps
-        states = [np.asarray(u, dtype=float) for u in trajectory]
-        squares = np.zeros((len(steps), 2))
-        for idx in self._evolution_groups(states):
-            resid = np.stack(
-                [
-                    states[i] - steps[i].evolution_fn(states[i - 1]) - _offset(steps[i])
-                    for i in idx
-                ]
-            )
-            squares[idx, 0] = _whitened_squares(
-                resid,
-                [steps[i].evolution_cov for i in idx],
-                "evolution covariance K",
-                idx,
-            )
-        for idx in self._observation_groups(states):
-            resid = np.stack(
-                [steps[i].observation - steps[i].observation_fn(states[i]) for i in idx]
-            )
-            squares[idx, 1] = _whitened_squares(
-                resid,
-                [steps[i].observation_cov for i in idx],
-                "observation covariance L",
-                idx,
-            )
+        states = self._states(trajectory)
+        groups = groups if groups is not None else self.equation_groups()
+        squares = np.zeros((len(self.steps), 2))
+        for g in groups.evolution:
+            resid = _stack_at(states, g.steps) - g.predict(states) - g.data
+            squares[g.steps, 0] = g.squares(resid)
+        for g in groups.observation:
+            squares[g.steps, 1] = g.squares(g.data - g.predict(states))
         total = 0.0
         if self.prior is not None:
             r = self.prior.cov.whiten(states[0] - self.prior.mean)
@@ -668,6 +825,14 @@ class NonlinearProblem:
         for term in squares.ravel().tolist():
             total += term
         return total
+
+
+def _linear_map(a: np.ndarray) -> NonlinearFunction:
+    """The batched linear map ``x -> a x`` and its constant Jacobian."""
+    return NonlinearFunction(
+        fn=lambda x: (a @ x[..., None])[..., 0],
+        jacobian=lambda x: np.broadcast_to(a, x.shape[:-1] + a.shape),
+    )
 
 
 def as_nonlinear(problem: StateSpaceProblem) -> NonlinearProblem:
@@ -702,16 +867,11 @@ def as_nonlinear(problem: StateSpaceProblem) -> NonlinearProblem:
                 cvec = np.linalg.solve(h, cvec)
                 hinv_k = np.linalg.solve(h, k_cov)
                 k_cov = np.linalg.solve(h, hinv_k.T).T
-            evo_fn = NonlinearFunction(
-                fn=lambda x, _f=f: _f @ x, jacobian=lambda x, _f=f: _f
-            )
+            evo_fn = _linear_map(f)
             evo_cov = k_cov
         obs_fn = obs = obs_cov = None
         if step.observation is not None:
-            g = step.observation.G
-            obs_fn = NonlinearFunction(
-                fn=lambda x, _g=g: _g @ x, jacobian=lambda x, _g=g: _g
-            )
+            obs_fn = _linear_map(step.observation.G)
             obs = step.observation.o
             obs_cov = step.observation.L.covariance()
         out.append(
@@ -745,18 +905,28 @@ def pendulum_problem(
     rng = np.random.default_rng(seed)
 
     def evo_fn(x):
-        return np.array([x[0] + dt * x[1], x[1] - dt * g_const * np.sin(x[0])])
-
-    def evo_jac(x):
-        return np.array(
-            [[1.0, dt], [-dt * g_const * np.cos(x[0]), 1.0]]
+        theta, omega = x[..., 0], x[..., 1]
+        return np.stack(
+            [theta + dt * omega, omega - dt * g_const * np.sin(theta)], axis=-1
         )
 
+    def evo_jac(x):
+        jac = np.empty(x.shape[:-1] + (2, 2))
+        jac[..., 0, :] = [1.0, dt]
+        jac[..., 1, 0] = -dt * g_const * np.cos(x[..., 0])
+        jac[..., 1, 1] = 1.0
+        return jac
+
     def obs_fn(x):
-        return np.array([np.sin(x[0])])
+        return np.sin(x[..., :1])
 
     def obs_jac(x):
-        return np.array([[np.cos(x[0]), 0.0]])
+        jac = np.zeros(x.shape[:-1] + (1, 2))
+        jac[..., 0, 0] = np.cos(x[..., 0])
+        return jac
+
+    evolution = NonlinearFunction(evo_fn, evo_jac)
+    observation = NonlinearFunction(obs_fn, obs_jac)
 
     qcov = q * np.array([[dt**3 / 3, dt**2 / 2], [dt**2 / 2, dt]])
     qchol = np.linalg.cholesky(qcov + 1e-15 * np.eye(2))
@@ -770,11 +940,9 @@ def pendulum_problem(
         steps.append(
             NonlinearStep(
                 state_dim=2,
-                evolution_fn=None
-                if i == 0
-                else NonlinearFunction(evo_fn, evo_jac),
+                evolution_fn=None if i == 0 else evolution,
                 evolution_cov=None if i == 0 else qcov + 1e-12 * np.eye(2),
-                observation_fn=NonlinearFunction(obs_fn, obs_jac),
+                observation_fn=observation,
                 observation=o,
                 observation_cov=r * np.eye(1),
             )
@@ -799,41 +967,46 @@ def coordinated_turn_problem(
     rng = np.random.default_rng(seed)
 
     def evo_fn(x):
-        px, py, v, th, w = x
-        return np.array(
+        px, py, v, th, w = np.moveaxis(x, -1, 0)
+        return np.stack(
             [
                 px + dt * v * np.cos(th),
                 py + dt * v * np.sin(th),
                 v,
                 th + dt * w,
                 w,
-            ]
+            ],
+            axis=-1,
         )
 
     def evo_jac(x):
-        _px, _py, v, th, _w = x
-        jac = np.eye(5)
-        jac[0, 2] = dt * np.cos(th)
-        jac[0, 3] = -dt * v * np.sin(th)
-        jac[1, 2] = dt * np.sin(th)
-        jac[1, 3] = dt * v * np.cos(th)
-        jac[3, 4] = dt
+        _px, _py, v, th, _w = np.moveaxis(x, -1, 0)
+        jac = np.empty(x.shape[:-1] + (5, 5))
+        jac[...] = np.eye(5)
+        jac[..., 0, 2] = dt * np.cos(th)
+        jac[..., 0, 3] = -dt * v * np.sin(th)
+        jac[..., 1, 2] = dt * np.sin(th)
+        jac[..., 1, 3] = dt * v * np.cos(th)
+        jac[..., 3, 4] = dt
         return jac
 
     def obs_fn(x):
-        px, py = x[0], x[1]
-        return np.array([np.hypot(px, py), np.arctan2(py, px)])
+        px, py = x[..., 0], x[..., 1]
+        return np.stack([np.hypot(px, py), np.arctan2(py, px)], axis=-1)
 
     def obs_jac(x):
-        px, py = x[0], x[1]
+        px, py = x[..., 0], x[..., 1]
         rho2 = px * px + py * py
         rho = np.sqrt(rho2)
-        jac = np.zeros((2, 5))
-        jac[0, 0] = px / rho
-        jac[0, 1] = py / rho
-        jac[1, 0] = -py / rho2
-        jac[1, 1] = px / rho2
+        jac = np.zeros(x.shape[:-1] + (2, 5))
+        jac[..., 0, 0] = px / rho
+        jac[..., 0, 1] = py / rho
+        jac[..., 1, 0] = -py / rho2
+        jac[..., 1, 1] = px / rho2
         return jac
+
+    evolution = NonlinearFunction(evo_fn, evo_jac)
+    observation = NonlinearFunction(obs_fn, obs_jac)
 
     qcov = np.diag([1e-6, 1e-6, 1e-3, 1e-6, q_turn * dt])
     qchol = np.sqrt(qcov)
@@ -850,11 +1023,9 @@ def coordinated_turn_problem(
         steps.append(
             NonlinearStep(
                 state_dim=5,
-                evolution_fn=None
-                if i == 0
-                else NonlinearFunction(evo_fn, evo_jac),
+                evolution_fn=None if i == 0 else evolution,
                 evolution_cov=None if i == 0 else qcov,
-                observation_fn=NonlinearFunction(obs_fn, obs_jac),
+                observation_fn=observation,
                 observation=o,
                 observation_cov=lcov,
             )
@@ -887,22 +1058,25 @@ def bearings_only_tunnel_problem(
     f_cv[0, 2] = f_cv[1, 3] = dt
 
     def evo_fn(x):
-        return f_cv @ x
+        return (f_cv @ x[..., None])[..., 0]
 
     def evo_jac(x):
-        return f_cv
+        return np.broadcast_to(f_cv, x.shape[:-1] + (4, 4))
 
     def obs_fn(x):
-        return np.arctan2(x[1] - sxy[:, 1], x[0] - sxy[:, 0])
+        return np.arctan2(x[..., 1:2] - sxy[:, 1], x[..., 0:1] - sxy[:, 0])
 
     def obs_jac(x):
-        dx = x[0] - sxy[:, 0]
-        dy = x[1] - sxy[:, 1]
+        dx = x[..., 0:1] - sxy[:, 0]
+        dy = x[..., 1:2] - sxy[:, 1]
         rho2 = dx * dx + dy * dy
-        jac = np.zeros((sxy.shape[0], 4))
-        jac[:, 0] = -dy / rho2
-        jac[:, 1] = dx / rho2
+        jac = np.zeros(x.shape[:-1] + (sxy.shape[0], 4))
+        jac[..., 0] = -dy / rho2
+        jac[..., 1] = dx / rho2
         return jac
+
+    evolution = NonlinearFunction(evo_fn, evo_jac)
+    observation = NonlinearFunction(obs_fn, obs_jac)
 
     qcov = q * np.block(
         [
@@ -921,11 +1095,9 @@ def bearings_only_tunnel_problem(
         steps.append(
             NonlinearStep(
                 state_dim=4,
-                evolution_fn=None
-                if i == 0
-                else NonlinearFunction(evo_fn, evo_jac),
+                evolution_fn=None if i == 0 else evolution,
                 evolution_cov=None if i == 0 else qcov + 1e-12 * np.eye(4),
-                observation_fn=NonlinearFunction(obs_fn, obs_jac),
+                observation_fn=observation,
                 observation=o,
                 observation_cov=r * np.eye(sxy.shape[0]),
             )
@@ -958,13 +1130,19 @@ def cubic_sensor_problem(
         return a * x
 
     def evo_jac(x):
-        return np.array([[a]])
+        return np.full(x.shape[:-1] + (1, 1), a)
 
+    # np.float_power rounds like the scalar power ``x[0] ** 3`` of one
+    # point; the array operator ``x ** 3`` may take a vectorized power
+    # that differs from it in the last bit.
     def obs_fn(x):
-        return np.array([beta * x[0] ** 3])
+        return beta * np.float_power(x, 3)
 
     def obs_jac(x):
-        return np.array([[3.0 * beta * x[0] ** 2]])
+        return (3.0 * beta * np.float_power(x, 2))[..., None]
+
+    evolution = NonlinearFunction(evo_fn, evo_jac)
+    observation = NonlinearFunction(obs_fn, obs_jac)
 
     truth = np.zeros((k + 1, 1))
     truth[0] = 0.8
@@ -976,11 +1154,9 @@ def cubic_sensor_problem(
         steps.append(
             NonlinearStep(
                 state_dim=1,
-                evolution_fn=None
-                if i == 0
-                else NonlinearFunction(evo_fn, evo_jac),
+                evolution_fn=None if i == 0 else evolution,
                 evolution_cov=None if i == 0 else q * np.eye(1),
-                observation_fn=NonlinearFunction(obs_fn, obs_jac),
+                observation_fn=observation,
                 observation=o,
                 observation_cov=r * np.eye(1),
             )

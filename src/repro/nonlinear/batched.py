@@ -14,6 +14,11 @@ plan cache, ``xp`` array backend, and mixed-precision apply for free.
 Per-problem decisions (step damping, accept/reject, convergence) are
 computed host-side from each problem's own slice, and converged
 problems drop out of subsequent stacked solves (the convergence mask).
+Each problem's equation groups and factored model covariances are
+built once per call (:attr:`IterateState.groups`) and shared by all of
+its linearizations and objective evaluations.  Every outer iteration
+records ``repro_nonlinear_phase_seconds`` samples for its three
+phases: ``linearize``, ``inner_solve`` and ``absorb``.
 Because the stacked kernels are bit-identical per slice regardless of
 batch size, slice ``j`` of a workload of N is *bit-identical* to
 running problem ``j`` alone through the same driver — which is exactly
@@ -51,7 +56,8 @@ import numpy as np
 
 from .. import obs
 from ..api import EstimatorConfig, call_smoother_many
-from ..model.nonlinear import NonlinearProblem, as_nonlinear
+from ..model.nonlinear import EquationGroups, NonlinearProblem, as_nonlinear
+from ..model.problem import StateSpaceProblem
 
 __all__ = ["IterateState", "drive_batched", "linearize_dtype"]
 
@@ -88,6 +94,23 @@ class IterateState:
     done: bool = False
     #: algorithm-specific extras (trace, damping parameter, ...)
     extra: dict[str, Any] = field(default_factory=dict)
+    #: the problem's equation groups and factored model covariances,
+    #: built once per smooth call and shared by all of its iterations
+    groups: EquationGroups = field(init=False)
+
+    def __post_init__(self):
+        self.groups = self.problem.equation_groups()
+
+    def objective_at(self, trajectory: list[np.ndarray]) -> float:
+        """The problem's objective at ``trajectory``."""
+        return self.problem.objective(trajectory, groups=self.groups)
+
+    def linearize(self, **options) -> StateSpaceProblem:
+        """The problem linearized at the current trajectory
+        (``options`` as :meth:`NonlinearProblem.linearize` takes them)."""
+        return self.problem.linearize(
+            self.trajectory, groups=self.groups, **options
+        )
 
 
 def drive_batched(
@@ -120,16 +143,23 @@ def drive_batched(
         array_module=config.array_module,
     )
     reg = obs.get_registry()
+
+    def phase(name: str):
+        return reg.span("repro_nonlinear_phase", smoother=owner.name, phase=name)
+
     for _ in range(owner.max_iterations):
         active = [s for s in states if not s.done]
         if not active:
             break
         with reg.span("repro_nonlinear_iteration", smoother=owner.name):
-            linears = [owner._batch_emit(s, config) for s in active]
-            results = call_smoother_many(inner, linears, config=inner_config)
-        for state, result in zip(active, results):
-            state.iterations += 1
-            owner._batch_absorb(state, result, config)
+            with phase("linearize"):
+                linears = [owner._batch_emit(s, config) for s in active]
+            with phase("inner_solve"):
+                results = call_smoother_many(inner, linears, config=inner_config)
+        with phase("absorb"):
+            for state, result in zip(active, results):
+                state.iterations += 1
+                owner._batch_absorb(state, result, config)
     covariances: list = [None] * len(states)
     if config.compute_covariance and owner._batch_final_cov_pass():
         finals = call_smoother_many(

@@ -171,15 +171,13 @@ class GaussNewtonSmoother(SmootherBase):
         )
         state = IterateState(problem=problem, trajectory=trajectory)
         trace = GaussNewtonTrace()
-        state.objective = problem.objective(trajectory)
+        state.objective = state.objective_at(trajectory)
         trace.objectives.append(state.objective)
         state.extra["trace"] = trace
         return state
 
     def _batch_emit(self, state, config):
-        return state.problem.linearize(
-            state.trajectory, dtype=linearize_dtype(config)
-        )
+        return state.linearize(dtype=linearize_dtype(config))
 
     _batch_emit_final = _batch_emit
 
@@ -199,7 +197,7 @@ class GaussNewtonSmoother(SmootherBase):
                 candidate = [
                     t + alpha * d for t, d in zip(trajectory, direction)
                 ]
-                cand_obj = state.problem.objective(candidate)
+                cand_obj = state.objective_at(candidate)
                 if cand_obj <= current_obj - self.armijo_c * alpha * sum(
                     float(d @ d) for d in direction
                 ):
@@ -214,7 +212,7 @@ class GaussNewtonSmoother(SmootherBase):
         num = alpha * np.sqrt(sum(float(d @ d) for d in direction))
         den = np.sqrt(sum(float(a @ a) for a in new_traj))
         state.trajectory = new_traj
-        state.objective = state.problem.objective(new_traj)
+        state.objective = state.objective_at(new_traj)
         trace.step_norms.append(num)
         trace.objectives.append(state.objective)
         if num <= self.tol * max(den, 1.0):

@@ -179,14 +179,13 @@ class IteratedPosteriorLinearizationSmoother(SmootherBase):
             problem=problem, trajectory=trajectory, covariances=covariances
         )
         trace = IPLSTrace()
-        state.objective = problem.objective(trajectory)
+        state.objective = state.objective_at(trajectory)
         trace.objectives.append(state.objective)
         state.extra["trace"] = trace
         return state
 
     def _batch_emit(self, state: IterateState, config):
-        return state.problem.linearize(
-            state.trajectory,
+        return state.linearize(
             linearizer=self.linearizer,
             covariances=state.covariances,
             dtype=linearize_dtype(config),
@@ -208,7 +207,7 @@ class IteratedPosteriorLinearizationSmoother(SmootherBase):
             )
         )
         scale = np.sqrt(sum(float(a @ a) for a in new_traj))
-        new_obj = state.problem.objective(new_traj)
+        new_obj = state.objective_at(new_traj)
         obj_change = abs(state.objective - new_obj)
         state.trajectory = new_traj
         if result.covariances is not None:

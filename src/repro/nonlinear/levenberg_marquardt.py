@@ -188,28 +188,24 @@ class LevenbergMarquardtSmoother(SmootherBase):
         )
         state = IterateState(problem=problem, trajectory=trajectory)
         trace = LMTrace()
-        state.objective = problem.objective(trajectory)
+        state.objective = state.objective_at(trajectory)
         trace.objectives.append(state.objective)
         state.extra["trace"] = trace
         state.extra["lam"] = self.lambda0
         return state
 
     def _batch_emit(self, state, config):
-        linear = state.problem.linearize(
-            state.trajectory, dtype=linearize_dtype(config)
-        )
+        linear = state.linearize(dtype=linearize_dtype(config))
         return damp_problem(linear, state.trajectory, state.extra["lam"])
 
     def _batch_emit_final(self, state, config):
-        return state.problem.linearize(
-            state.trajectory, dtype=linearize_dtype(config)
-        )
+        return state.linearize(dtype=linearize_dtype(config))
 
     def _batch_absorb(self, state, result, config) -> None:
         trace: LMTrace = state.extra["trace"]
         lam = state.extra["lam"]
         candidate = [np.asarray(m, dtype=float) for m in result.means]
-        new_obj = state.problem.objective(candidate)
+        new_obj = state.objective_at(candidate)
         current_obj = state.objective
         if new_obj <= current_obj:
             step_norm = np.sqrt(

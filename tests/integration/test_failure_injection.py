@@ -12,9 +12,9 @@ from repro.kalman.ultimate import UltimateKalman
 from repro.linalg.cholesky import Whitener
 from repro.model.generators import random_problem
 from repro.model.nonlinear import (
-    NonlinearFunction,
     NonlinearProblem,
     NonlinearStep,
+    pointwise,
 )
 from repro.model.problem import StateSpaceProblem
 from repro.model.steps import Evolution, GaussianPrior, Observation, Step
@@ -181,12 +181,8 @@ class TestUnobservableWindows:
         covariance is zero makes the EKF innovation covariance
         singular at a known step; the error must say so instead of
         surfacing a LAPACK message."""
-        identity = NonlinearFunction(
-            fn=lambda x: x, jacobian=lambda x: np.eye(x.shape[0])
-        )
-        dead_sensor = NonlinearFunction(
-            fn=lambda x: np.zeros(1), jacobian=lambda x: np.zeros((1, 2))
-        )
+        identity = pointwise(lambda x: x, lambda x: np.eye(x.shape[0]))
+        dead_sensor = pointwise(lambda x: np.zeros(1), lambda x: np.zeros((1, 2)))
         steps = [
             NonlinearStep(
                 state_dim=2,

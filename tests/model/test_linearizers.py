@@ -16,18 +16,18 @@ from repro.model.nonlinear import (
     JacobianLinearizer,
     LinearizedFn,
     Linearizer,
-    NonlinearFunction,
     SigmaPointLinearizer,
     bearings_only_tunnel_problem,
     cubic_sensor_problem,
     pendulum_problem,
+    pointwise,
 )
 
 
 def affine_fn(A, b):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    return NonlinearFunction(lambda x: A @ x + b, lambda x: A)
+    return pointwise(lambda x: A @ x + b, lambda x: A)
 
 
 class TestProtocol:

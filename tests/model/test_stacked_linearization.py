@@ -28,6 +28,7 @@ from repro.model.nonlinear import (
     coordinated_turn_problem,
     cubic_sensor_problem,
     pendulum_problem,
+    pointwise,
 )
 from repro.model.steps import Evolution, GaussianPrior, Observation, _as_cov_whitener
 
@@ -111,7 +112,7 @@ def random_map(rng, n: int, m: int) -> NonlinearFunction:
     def jac(x):
         return a + np.cos(s @ x)[:, None] * s
 
-    return NonlinearFunction(fn, jac)
+    return pointwise(fn, jac)
 
 
 def random_spd(rng, n: int) -> np.ndarray:
@@ -334,26 +335,29 @@ def test_float32_linearization_stays_float32():
 
 @dataclass(frozen=True)
 class PoisonedOmega:
-    """Sigma-point SLR whose residual covariance for one function is
-    made negative enough to leave the inflated noise indefinite."""
+    """Sigma-point SLR whose residual covariance at one position of the
+    stack of ``rows``-row equations is made negative enough to leave
+    the inflated noise indefinite."""
 
-    target: NonlinearFunction
+    position: int
+    rows: int
     name = "poisoned"
     needs_covariance = True
 
     def linearize(self, fn, mean, cov=None):
         lf = SigmaPointLinearizer().linearize(fn, mean, cov)
         omega = lf.omega.copy()
-        for j, f in enumerate(fn):
-            if f is self.target:
-                omega[j] -= 10.0 * np.eye(omega.shape[-1])
+        if omega.shape[-1] == self.rows:
+            omega[self.position] -= 10.0 * np.eye(self.rows)
         return LinearizedFn(F=lf.F, c=lf.c, omega=omega)
 
 
 def test_indefinite_inflated_noise_names_its_step():
     problem, truth = pendulum_problem(10, seed=1)
     covs = [0.05 * np.eye(2) for _ in truth]
-    lin = PoisonedOmega(problem.steps[6].evolution_fn)
+    # The pendulum's evolution equations (two rows; its observations
+    # have one) stack steps 1 to 10 in order, so step 6 is at 5.
+    lin = PoisonedOmega(position=5, rows=2)
     with pytest.raises(
         np.linalg.LinAlgError,
         match=r"evolution covariance K \+ omega at step 6 is not positive definite",

@@ -109,6 +109,36 @@ class TestOneStackedSolvePerIteration:
         assert all(r.covariances is None for r in results)
 
 
+class TestPhaseExport:
+    def test_each_phase_recorded_once_per_outer_iteration(self):
+        """Linearization, the stacked inner solve and the absorb loop
+        (which evaluates the objective) each time once per outer
+        iteration, and all three reach the Prometheus export."""
+        phases = {"linearize", "inner_solve", "absorb"}
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            results = IteratedPosteriorLinearizationSmoother().smooth_many(
+                fleet(3)
+            )
+        outer = max(r.diagnostics["iterations"] for r in results)
+        assert outer > 1
+        for phase in phases:
+            hist = registry.histogram(
+                "repro_nonlinear_phase_seconds", smoother="ipls", phase=phase
+            )
+            assert hist.count == outer
+        iteration = registry.histogram(
+            "repro_nonlinear_iteration_seconds", smoother="ipls"
+        )
+        assert iteration.count == outer
+        series = obs.parse_prometheus(obs.to_prometheus(registry))
+        exported = {
+            s["labels"]["phase"]
+            for s in series["repro_nonlinear_phase_seconds_count"]
+        }
+        assert exported == phases
+
+
 class TestPerProblemConvergenceMasks:
     def test_iteration_counts_are_independent(self):
         """A fleet mixing easy and hard problems: each result reports

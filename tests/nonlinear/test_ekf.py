@@ -6,10 +6,10 @@ import pytest
 from repro.kalman.kf import KalmanFilter
 from repro.model.generators import random_problem
 from repro.model.nonlinear import (
-    NonlinearFunction,
     NonlinearProblem,
     NonlinearStep,
     pendulum_problem,
+    pointwise,
 )
 from repro.nonlinear.ekf import extended_kalman_filter
 
@@ -23,7 +23,7 @@ def linear_as_nonlinear(p):
         c = None
         if i > 0:
             f = s.evolution.F
-            evo_fn = NonlinearFunction(
+            evo_fn = pointwise(
                 (lambda F: lambda x: F @ x)(f), (lambda F: lambda x: F)(f)
             )
             cov = s.evolution.K.covariance()
@@ -31,7 +31,7 @@ def linear_as_nonlinear(p):
         obs_fn = obs = obs_cov = None
         if s.observation is not None:
             g = s.observation.G
-            obs_fn = NonlinearFunction(
+            obs_fn = pointwise(
                 (lambda G: lambda x: G @ x)(g), (lambda G: lambda x: G)(g)
             )
             obs = s.observation.o

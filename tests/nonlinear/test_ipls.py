@@ -42,9 +42,9 @@ def rmse(means, truth, dims=None):
 def near_linear_problem(k, eps, seed=0):
     """Stable 2-D linear dynamics perturbed by ``eps * sin`` terms."""
     from repro.model.nonlinear import (
-        NonlinearFunction,
         NonlinearProblem,
         NonlinearStep,
+        pointwise,
     )
     from repro.model.steps import GaussianPrior
 
@@ -73,11 +73,9 @@ def near_linear_problem(k, eps, seed=0):
         steps.append(
             NonlinearStep(
                 state_dim=2,
-                evolution_fn=None
-                if i == 0
-                else NonlinearFunction(evo_fn, evo_jac),
+                evolution_fn=None if i == 0 else pointwise(evo_fn, evo_jac),
                 evolution_cov=None if i == 0 else 0.01 * np.eye(2),
-                observation_fn=NonlinearFunction(obs_fn, obs_jac),
+                observation_fn=pointwise(obs_fn, obs_jac),
                 observation=o,
                 observation_cov=0.04 * np.eye(2),
             )
