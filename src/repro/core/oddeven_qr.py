@@ -39,10 +39,20 @@ same code eliminates one sequence (2-D blocks, RHS vectors of shape
 block structure (3-D ``(B, rows, cols)`` blocks, RHS arrays of shape
 ``(B, rows)``): the group and batch axes flatten into one stack axis.
 In the batched case the accumulated ``residual_sq`` is a ``(B,)`` array
-(one residual per sequence).  Level 0 reads its blocks straight from
-the whitened problem's per-shape stacks
-(:class:`~repro.model.problem.WhitenedProblem`).  The factor keeps
-the stacks too: each Stage-B group becomes one
+(one residual per sequence).
+
+Stages hand their outputs on as the stacks the stacked calls returned.
+A level keeps them in stores (:class:`~repro.core.stacked.Store`) that
+hold, per column position, only plain ints in Python lists: which
+stack, which slot of it and how many rows; the level itself keeps each
+position's original column and state dimension the same way.  A later
+stage gathers a group's blocks as one strided view of the stack they
+share, or one concatenation where the group spans stacks, and level 0
+reads the whitened problem's per-shape stacks
+(:class:`~repro.model.problem.WhitenedProblem`) through the same
+stores.  So the objects a level allocates grow with its stacks, not
+with its columns.  The factor keeps the stacks too: each Stage-B group
+becomes one
 :class:`~repro.core.rfactor.RowGroup` of the level (its diagonals,
 left and right couplings and RHS as views of the stage's output), and
 column 0 and the base become one-row groups, so the factor holds a
@@ -54,7 +64,7 @@ one of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -65,46 +75,9 @@ from ..linalg.xp import get_namespace
 from ..model.problem import StateSpaceProblem, WhitenedProblem
 from ..parallel.backend import Backend, SerialBackend
 from .rfactor import OddEvenR, RowGroup
-from .stacked import Ref, gather, group_by, stacked
+from .stacked import Store, group_by, stacked
 
-__all__ = ["oddeven_factorize", "OddEvenLevelStats"]
-
-
-@dataclass
-class OddEvenLevelStats:
-    """Per-level diagnostics exposed on the returned factor."""
-
-    level: int
-    columns: int
-    evens: int
-    odds: int
-
-
-@dataclass
-class _Column:
-    """One block column at some recursion level: ``rows`` observation
-    rows ``c`` (``rows x n``) with right-hand side ``rhs``."""
-
-    orig: int
-    n: int
-    rows: int
-    c: Ref
-    rhs: Ref
-
-
-@dataclass
-class _EvoRows:
-    """Evolution-like rows coupling a column to its left neighbour.
-
-    ``nb`` is the block as it appears in the matrix (i.e. ``-B``); no
-    sign bookkeeping is ever needed because Stage B leftovers are
-    already in as-it-appears form.
-    """
-
-    rows: int
-    nb: Ref
-    d: Ref
-    rhs: Ref
+__all__ = ["oddeven_factorize"]
 
 
 def _qr_apply(pivot, coupled):
@@ -133,137 +106,135 @@ def _sumsq(x):
 class _Level:
     """One recursion level: its columns, coupling rows and stage outputs.
 
-    Positions index the level's columns; ``evos[t]`` couples column
-    ``t-1`` to column ``t`` (``evos[0]`` is ``None``).
+    Positions index the level's columns: ``orig[p]`` is column ``p``'s
+    original column and ``dims[p]`` its state dimension.  The stores
+    (:class:`~repro.core.stacked.Store`) of the level's blocks are
+    indexed by position:
+
+    * ``cols`` — the observation rows ``(C, rhs)`` of column ``p``;
+    * ``evos`` — the rows ``(-B, D, rhs)`` coupling column ``p - 1`` to
+      column ``p`` (position 0 unused);
+    * ``rtil`` — Stage A's ``(R~, rhs, X)`` of even ``p`` (no fill ``X``
+      for the last column);
+    * ``remnant`` — Stage A's remnant ``(D~, rhs)`` below even ``p``,
+      which joins odd column ``p + 1`` in Stage C.
+
+    Odd column ``p`` is the next level's column ``p // 2``, and the
+    stores Stages B and C fill are indexed that way, so they are the
+    next level's input as they stand:
+
+    * ``next_evos`` — Stage B's leftover rows ``(-B, D, rhs)`` of even
+      ``p``, the next level's coupling between odd columns ``p - 1``
+      and ``p + 1``;
+    * ``extra`` — the last even column's leftover rows ``(-B, rhs)``,
+      extra observation rows on its left neighbour;
+    * ``next_cols`` — Stage C's compressed ``(C~, rhs)``.
     """
 
-    def __init__(self, engine: "_Engine", columns, evos, index: int):
+    def __init__(self, engine: "_Engine", index, orig, dims, cols, evos):
         self.engine = engine
-        self.columns = columns
+        self.orig = orig
+        self.dims = dims
+        self.cols = cols
         self.evos = evos
         self.index = index
-        kk = len(columns) - 1
+        kk = len(orig) - 1
         self.kk = kk
-        self.evens = list(range(0, kk + 1, 2))
-        self.odds = list(range(1, kk + 1, 2))
-        # Stage A outputs per even position: R~, its RHS, the fill X
-        # and the remnant D~ with its RHS (refs, or None).
-        self.rtil: dict = {}
-        self.rtil_rows: dict = {}
-        self.rtil_rhs: dict = {}
-        self.fill: dict = {}
-        self.dtil: dict = {}
-        self.dtil_rhs: dict = {}
-        self.dtil_rows: dict = {}
-        # Stage B outputs: the level's permanent block rows as row
-        # groups, and per even position the next-level coupling rows or
-        # extra observation rows for the left odd neighbour.
+        self.evens = range(0, kk + 1, 2)
+        self.odds = range(1, kk + 1, 2)
+        self.rtil = Store(kk + 1)
+        self.remnant = Store(kk + 1)
+        self.next_evos = Store(len(self.odds))
+        self.extra = Store(len(self.odds))
+        self.next_cols = Store(len(self.odds))
+        # The level's permanent block rows as row groups.
         self.groups: list = []
-        self.new_evo: dict = {}
-        self.extra: dict = {}
-        # Squared RHS of annihilated rows per position (stage A's last
-        # even column, stage C's odd columns).
-        self.resid_a: dict = {}
-        self.resid_c: dict = {}
+        # Squared RHS of annihilated rows: the last even column's in
+        # Stage A, and the odd columns' in Stage C, by odd index.
+        self.resid_a = None
+        self.resid_c = None
 
     # -- Stage A -------------------------------------------------------
     def stage_a(self) -> None:
-        cols, evos, e = self.columns, self.evos, self.engine
-        sig = {}
-        for p in self.evens:
-            col = cols[p]
-            if p + 1 <= self.kk:
-                evo = evos[p + 1]
-                sig[p] = (col.rows, col.n, evo.rows, cols[p + 1].n)
+        kk, dims, e = self.kk, self.dims, self.engine
+        rows, evo_rows = self.cols.rows, self.evos.rows
+        # Every even column but the last couples to its right neighbour.
+        keys = chain(
+            zip(rows[:kk:2], dims[:kk:2], evo_rows[1::2], dims[1::2]),
+            [(rows[kk], dims[kk])] if kk % 2 == 0 else [],
+        )
+        for sig, members in group_by(self.evens, keys, e.slices):
+            if len(sig) == 4:
+                self._a_coupled(members, *sig)
             else:
-                sig[p] = (col.rows, col.n)
-        for key, members in group_by(self.evens, sig.get, e.slices):
-            if len(key) == 4:
-                self._a_coupled(members, *key)
-            else:
-                self._a_last(members, *key)
+                self._a_last(members, *sig)
 
         def cost(p):
-            key = sig[p]
-            if len(key) == 4:
-                mc, n, rows, n_right = key
-                return _qr_costs(e.slices, mc + rows, n, n_right + 1)
-            rows, n = key
-            return _qr_costs(e.slices, rows, n, 1) if rows else []
+            if p < kk:
+                m = rows[p] + evo_rows[p + 1]
+                return _qr_costs(e.slices, m, dims[p], dims[p + 1] + 1)
+            return _qr_costs(e.slices, rows[p], dims[p], 1) if rows[p] else []
 
         e.backend.record_costs(
             self.evens, cost, phase=f"oddeven/L{self.index}/stageA"
         )
 
     def _a_coupled(self, members, mc, n, rows, n_right):
-        cols, evos, e = self.columns, self.evos, self.engine
+        e = self.engine
         xp = e.xp
-        c = gather([cols[p].c for p in members])
-        rhs_c = gather([cols[p].rhs for p in members])
-        nb = gather([evos[p + 1].nb for p in members])
-        d = gather([evos[p + 1].d for p in members])
-        rhs_e = gather([evos[p + 1].rhs for p in members])
+        c, rhs_c = self.cols.gather(members, 0, 1)
+        nb, d, rhs_e = self.evos.gather([p + 1 for p in members], 0, 1, 2)
         lead = tuple(c.shape[:-2])
         pivot = xp.concatenate([c, nb], axis=-2)
-        coupled = xp.concatenate(
-            [e.zeros(lead + (mc, n_right)), d], axis=-2
-        )
-        rhs = xp.concatenate([rhs_c, rhs_e], axis=-1)
-        applied_to = xp.concatenate([coupled, rhs[..., None]], axis=-1)
+        # [0 | rhs_c] over [D | rhs_e], written into one buffer.
+        applied_to = e.zeros(lead + (mc + rows, n_right + 1), d, rhs_c)
+        applied_to[..., mc:, :n_right] = d
+        applied_to[..., :mc, -1] = rhs_c
+        applied_to[..., mc:, -1] = rhs_e
         r, applied = stacked(_qr_apply, pivot, applied_to, tail=(2, 2))
         ncap = min(n, mc + rows)
-        r_rhs = applied[..., :ncap, -1]
-        fill = applied[..., :ncap, :n_right]
-        dtil = applied[..., ncap:, :n_right]
-        dtil_rhs = applied[..., ncap:, -1]
-        for t, p in enumerate(members):
-            self.rtil[p] = (r, t)
-            self.rtil_rows[p] = ncap
-            self.rtil_rhs[p] = (r_rhs, t)
-            self.fill[p] = (fill, t)
-            self.dtil[p] = (dtil, t)
-            self.dtil_rhs[p] = (dtil_rhs, t)
-            self.dtil_rows[p] = mc + rows - ncap
+        self.rtil.put(
+            members,
+            (r, applied[..., :ncap, -1], applied[..., :ncap, :n_right]),
+            ncap,
+        )
+        self.remnant.put(
+            members,
+            (applied[..., ncap:, :n_right], applied[..., ncap:, -1]),
+            mc + rows - ncap,
+        )
 
     def _a_last(self, members, rows, n):
         """The last even column: only its observation rows take part."""
-        cols = self.columns
         r, r_rhs, resid = self.engine.compress(
-            [[cols[p].c for p in members]],
-            [[cols[p].rhs for p in members]],
-            len(members),
-            rows,
-            n,
+            [self.cols.gather(members, 0, 1)], len(members), rows, n
         )
-        for t, p in enumerate(members):
-            self.rtil[p] = (r, t)
-            self.rtil_rows[p] = min(rows, n)
-            self.rtil_rhs[p] = (r_rhs, t)
-            if resid is not None:
-                self.resid_a[p] = resid[t]
+        self.rtil.put(members, (r, r_rhs), min(rows, n))
+        if resid is not None:
+            self.resid_a = resid[0]
 
     # -- Stage B -------------------------------------------------------
     def stage_b(self) -> None:
-        cols, evos, e = self.columns, self.evos, self.engine
-        sig = {}
-        for p in self.evens:
-            if p == 0:
-                continue
-            evo = evos[p]
-            right = cols[p + 1].n if p in self.fill else 0
-            sig[p] = (
-                evo.rows, self.rtil_rows[p], cols[p].n, cols[p - 1].n, right
-            )
+        kk, dims, e = self.kk, self.dims, self.engine
+        evo_rows, rt_rows = self.evos.rows, self.rtil.rows
         self._first_row()
-        for key, members in group_by(self.evens[1:], sig.get, e.slices):
-            self._b_group(members, *key)
+        # The last even column has no right neighbour when kk is even.
+        keys = zip(
+            evo_rows[2::2], rt_rows[2::2], dims[2::2], dims[1::2],
+            dims[3::2] + [0],
+        )
+        for sig, members in group_by(self.evens[1:], keys, e.slices):
+            self._b_group(members, *sig)
 
         def cost(p):
             if p == 0:
                 return []
-            d_rows, rt_rows, n, n_left, n_right = sig[p]
+            right = dims[p + 1] if p < kk else 0
             return _qr_costs(
-                e.slices, d_rows + rt_rows, n, n_left + n_right + 1
+                e.slices,
+                evo_rows[p] + rt_rows[p],
+                dims[p],
+                dims[p - 1] + right + 1,
             )
 
         e.backend.record_costs(
@@ -276,69 +247,50 @@ class _Level:
         Its blocks are copied out of the Stage-A stack, which would
         otherwise stay alive as long as the factor for one row's sake.
         """
-        cols = self.columns
-
-        def own(ref: Ref):
-            base, index = ref
-            return self.engine.xp.copy(base[index : index + 1])
-
-        couplings = ()
-        if 0 in self.fill:
-            couplings = ((np.array([cols[1].orig]), own(self.fill[0])),)
+        r, rhs, fill = (
+            self.engine.xp.copy(a) for a in self.rtil.gather([0], 0, 1, 2)
+        )
+        couplings = ((np.array([self.orig[1]]), fill),)
         self.groups.append(
-            RowGroup(
-                np.array([cols[0].orig]),
-                own(self.rtil[0]),
-                couplings,
-                own(self.rtil_rhs[0]),
-            )
+            RowGroup(np.array([self.orig[0]]), r, couplings, rhs)
         )
 
     def _b_group(self, members, d_rows, rt_rows, n, n_left, n_right):
-        cols, evos, e = self.columns, self.evos, self.engine
+        orig, e = self.orig, self.engine
         xp = e.xp
-        d = gather([evos[p].d for p in members])
-        rtil = gather([self.rtil[p] for p in members])
-        nb = gather([evos[p].nb for p in members])
-        rhs = xp.concatenate(
-            [
-                gather([evos[p].rhs for p in members]),
-                gather([self.rtil_rhs[p] for p in members]),
-            ],
-            axis=-1,
+        nb, d, rhs_e = self.evos.gather(members, 0, 1, 2)
+        # The last even column has no fill.
+        rtil, rtil_rhs, *fill = self.rtil.gather(
+            members, *range(3 if n_right else 2)
         )
         lead = tuple(d.shape[:-2])
         pivot = xp.concatenate([d, rtil], axis=-2)
-        pieces = [
-            xp.concatenate([nb, e.zeros(lead + (rt_rows, n_left))], axis=-2)
-        ]
-        if n_right:
-            fill = gather([self.fill[p] for p in members])
-            pieces.append(
-                xp.concatenate(
-                    [e.zeros(lead + (d_rows, n_right)), fill], axis=-2
-                )
-            )
-        pieces.append(rhs[..., None])
-        r, applied = stacked(
-            _qr_apply, pivot, xp.concatenate(pieces, axis=-1), tail=(2, 2)
-        )
-        ncap = min(n, d_rows + rt_rows)
+        # [-B | 0 | rhs_e] over [0 | X | rhs~], written into one buffer.
         split = n_left + n_right
+        applied_to = e.zeros(
+            lead + (d_rows + rt_rows, split + 1), nb, rtil_rhs, *fill
+        )
+        applied_to[..., :d_rows, :n_left] = nb
+        if n_right:
+            applied_to[..., d_rows:, n_left:split] = fill[0]
+        applied_to[..., :d_rows, -1] = rhs_e
+        applied_to[..., d_rows:, -1] = rtil_rhs
+        r, applied = stacked(_qr_apply, pivot, applied_to, tail=(2, 2))
+        ncap = min(n, d_rows + rt_rows)
         top = applied[..., :ncap, :]
         couplings = [
-            (np.array([cols[p - 1].orig for p in members]), top[..., :n_left])
+            (np.array([orig[p - 1] for p in members]), top[..., :n_left])
         ]
         if n_right:
             couplings.append(
                 (
-                    np.array([cols[p + 1].orig for p in members]),
+                    np.array([orig[p + 1] for p in members]),
                     top[..., n_left:split],
                 )
             )
         self.groups.append(
             RowGroup(
-                np.array([cols[p].orig for p in members]),
+                np.array([orig[p] for p in members]),
                 r,
                 tuple(couplings),
                 top[..., -1],
@@ -348,85 +300,68 @@ class _Level:
         bottom_rhs = applied[..., ncap:, -1]
         rows = d_rows + rt_rows - ncap
         if n_right:
-            bottom_right = applied[..., ncap:, n_left:split]
-            for t, p in enumerate(members):
-                self.new_evo[p] = _EvoRows(
-                    rows,
-                    (bottom_left, t),
-                    (bottom_right, t),
-                    (bottom_rhs, t),
-                )
+            self.next_evos.put(
+                [p // 2 for p in members],
+                (bottom_left, applied[..., ncap:, n_left:split], bottom_rhs),
+                rows,
+            )
         else:
             # Last even column: the leftover rows touch only the left
             # odd neighbour — they become extra observation rows on it.
-            for t, p in enumerate(members):
-                self.extra[p - 1] = (
-                    rows, (bottom_left, t), (bottom_rhs, t)
-                )
+            self.extra.put(
+                [p // 2 - 1 for p in members], (bottom_left, bottom_rhs), rows
+            )
 
     # -- Stage C -------------------------------------------------------
-    def stage_c(self) -> list[_Column]:
-        """Compress every odd column; returns the next level's columns."""
-        cols, e = self.columns, self.engine
-        sig = {}
-        for p in self.odds:
-            extra = self.extra.get(p)
-            sig[p] = (
-                self.dtil_rows.get(p - 1, 0),
-                cols[p].rows,
-                extra[0] if extra is not None else 0,
-                cols[p].n,
-            )
-        new: dict = {}
-        for key, members in group_by(self.odds, sig.get, e.slices):
-            self._c_group(members, *key, new)
+    def stage_c(self) -> None:
+        """Compress every odd column into the next level's columns."""
+        dims, e = self.dims, self.engine
+        dt_rows, c_rows = self.remnant.rows, self.cols.rows
+        x_rows = self.extra.rows
+        keys = zip(dt_rows[::2], c_rows[1::2], x_rows, dims[1::2])
+        for sig, members in group_by(self.odds, keys, e.slices):
+            self._c_group(members, *sig)
 
         def cost(p):
-            dt_rows, c_rows, x_rows, n = sig[p]
-            rows = dt_rows + c_rows + x_rows
-            return _qr_costs(e.slices, rows, n, 1) if rows else []
+            rows = dt_rows[p - 1] + c_rows[p] + x_rows[p // 2]
+            return _qr_costs(e.slices, rows, dims[p], 1) if rows else []
 
         e.backend.record_costs(
             self.odds, cost, phase=f"oddeven/L{self.index}/stageC"
         )
-        return [new[p] for p in self.odds]
 
-    def _c_group(self, members, dt_rows, c_rows, x_rows, n, new):
-        cols = self.columns
-        blocks, rhs = [], []
+    def _c_group(self, members, dt_rows, c_rows, x_rows, n):
+        e = self.engine
+        after = [p // 2 for p in members]
+        pieces = []
         if dt_rows:
-            blocks.append([self.dtil[p - 1] for p in members])
-            rhs.append([self.dtil_rhs[p - 1] for p in members])
-        if c_rows:
-            blocks.append([cols[p].c for p in members])
-            rhs.append([cols[p].rhs for p in members])
-        if x_rows:
-            blocks.append([self.extra[p][1] for p in members])
-            rhs.append([self.extra[p][2] for p in members])
-        rows = dt_rows + c_rows + x_rows
-        r, r_rhs, resid = self.engine.compress(
-            blocks, rhs, len(members), rows, n
-        )
-        for t, p in enumerate(members):
-            new[p] = _Column(
-                cols[p].orig, n, min(rows, n), (r, t), (r_rhs, t)
+            pieces.append(
+                self.remnant.gather([p - 1 for p in members], 0, 1)
             )
-            if resid is not None:
-                self.resid_c[p] = resid[t]
+        if c_rows:
+            pieces.append(self.cols.gather(members, 0, 1))
+        if x_rows:
+            pieces.append(self.extra.gather(after, 0, 1))
+        rows = dt_rows + c_rows + x_rows
+        r, r_rhs, resid = e.compress(pieces, len(members), rows, n)
+        self.next_cols.put(after, (r, r_rhs), min(rows, n))
+        if resid is not None:
+            if self.resid_c is None:
+                self.resid_c = e.zeros((len(self.odds),) + e.batch_shape)
+            self.resid_c[after] = resid
 
     # -- transition ----------------------------------------------------
-    def next_evos(self, new_columns: list[_Column]) -> list:
-        evos: list = [None]
-        for t, p in enumerate(self.evens[1:], start=1):
-            if t >= len(new_columns):
-                break
-            evo = self.new_evo.get(p)
-            if evo is None:
-                evo = self.engine.empty_evo(
-                    new_columns[t - 1].n, new_columns[t].n
-                )
-            evos.append(evo)
-        return evos
+    def add_residual(self, residual):
+        """``residual`` plus the squared RHS this level annihilated,
+        added per stage in column order, as the stages would have
+        returned it one column at a time."""
+        if self.resid_a is not None:
+            residual = residual + self.resid_a
+        if self.resid_c is not None:
+            # Columns without annihilated rows hold zeros, which leave
+            # the sequential sum's bits alone.
+            residual = residual + sum(self.resid_c)
+        return residual
 
 
 class _Engine:
@@ -443,69 +378,57 @@ class _Engine:
         self.slices = batch_count(self.batch_shape)
         self.backend = backend
         self.factor = OddEvenR(dims=white.state_dims)
+        # The working dtype as an array, since the torch namespace's
+        # ``result_type`` takes arrays only.
+        self.empty = self.xp.zeros((0,), dtype=self.dtype)
 
-    def zeros(self, shape: tuple):
-        return self.xp.zeros(shape, dtype=self.dtype)
+    def zeros(self, shape: tuple, *like):
+        """Zeros of the working dtype promoted with ``like``'s dtypes,
+        as a concatenation of working-dtype zeros with ``like`` would
+        be."""
+        dtype = self.xp.result_type(self.empty, *like) if like else self.dtype
+        return self.xp.zeros(shape, dtype=dtype)
 
-    def empty_evo(self, n_left: int, n_right: int) -> _EvoRows:
-        lead = (1,) + self.batch_shape
-        return _EvoRows(
-            0,
-            (self.zeros(lead + (0, n_left)), 0),
-            (self.zeros(lead + (0, n_right)), 0),
-            (self.zeros(lead + (0,)), 0),
-        )
-
-    def compress(self, blocks, rhs, members: int, rows: int, n: int):
+    def compress(self, pieces: list, members: int, rows: int, n: int):
         """QR-compress the row pieces of ``members`` columns to at most
         ``n`` rows each.
 
-        ``blocks``/``rhs`` list the pieces top to bottom, each a list
-        of one ref per column.  Returns the stacked triangular factors,
-        their transformed RHS and the per-column residual of the
-        annihilated rows (``None`` when no row is annihilated).  With
-        no rows at all nothing is factored.
+        ``pieces`` lists ``(blocks, rhs)`` stacks top to bottom.
+        Returns the stacked triangular factors, their transformed RHS
+        and the per-column residual of the annihilated rows (``None``
+        when no row is annihilated).  With no rows at all nothing is
+        factored.
         """
         xp = self.xp
         if not rows:
             lead = (members,) + self.batch_shape
             return self.zeros(lead + (0, n)), self.zeros(lead + (0,)), None
-        pieces = [gather(b) for b in blocks]
-        rhs_pieces = [gather(b) for b in rhs]
-        stack = (
-            pieces[0]
-            if len(pieces) == 1
-            else xp.concatenate(pieces, axis=-2)
-        )
-        vec = (
-            rhs_pieces[0]
-            if len(rhs_pieces) == 1
-            else xp.concatenate(rhs_pieces, axis=-1)
-        )
+        if len(pieces) == 1:
+            stack, vec = pieces[0]
+        else:
+            stack = xp.concatenate([b for b, _ in pieces], axis=-2)
+            vec = xp.concatenate([v for _, v in pieces], axis=-1)
         r, qtr = stacked(_qr_apply, stack, vec[..., None], tail=(2, 2))
         ncap = min(rows, n)
         resid = _sumsq(qtr[..., ncap:, 0]) if rows > n else None
         return r, qtr[..., :ncap, 0], resid
 
 
-def _level_zero(white: WhitenedProblem) -> tuple[list, list]:
-    """The whitened blocks as level-0 columns and coupling rows.
+def _level_zero(white: WhitenedProblem) -> tuple[Store, Store]:
+    """The whitened problem's observation and evolution rows as level
+    0's stores.
 
-    Each column refers to a slice of the whitened problem's per-shape
-    stacks, so level 0 gathers its groups as views of them; only the
-    evolution blocks are negated, once per stack.
+    They keep the whitened problem's per-shape stacks, so level 0
+    gathers its groups as views of them; only the evolution blocks are
+    negated, once per stack.
     """
-    columns: list = [None] * len(white.dims)
-    evos: list = [None] * len(white.dims)
+    size = len(white.dims)
+    cols, evos = Store(size), Store(size)
     for steps, c, rhs in white.observation_blocks():
-        rows = c.shape[-2]
-        for s, i in enumerate(steps):
-            columns[i] = _Column(i, white.dims[i], rows, (c, s), (rhs, s))
+        cols.put(steps, (c, rhs), c.shape[-2])
     for steps, b, d, rhs in white.evolution_blocks():
-        nb, rows = -b, b.shape[-2]
-        for s, i in enumerate(steps):
-            evos[i] = _EvoRows(rows, (nb, s), (d, s), (rhs, s))
-    return columns, evos
+        evos.put(steps, (-b, d, rhs), b.shape[-2])
+    return cols, evos
 
 
 def oddeven_factorize(
@@ -543,43 +466,33 @@ def oddeven_factorize(
     )
     engine = _Engine(white, backend)
     factor = engine.factor
-    columns, evos = _level_zero(white)
+    cols, evos = _level_zero(white)
+    orig, dims = list(range(len(white.dims))), list(white.dims)
     # One residual per sequence: a 0-d array for a single sequence.
     residual = engine.zeros(engine.batch_shape)
-    level_idx = 0
-    while len(columns) > 1:
-        level = _Level(engine, columns, evos, level_idx)
+    index = 0
+    while len(orig) > 1:
+        level = _Level(engine, index, orig, dims, cols, evos)
         level.stage_a()
         level.stage_b()
-        new_columns = level.stage_c()
-        factor.levels.append([columns[p].orig for p in level.evens])
+        level.stage_c()
+        factor.levels.append(orig[0::2])
         factor.groups.append(level.groups)
-        # Residuals add up per stage in column order, as the stages
-        # would have returned them one column at a time.
-        residual = residual + sum(
-            level.resid_a[p] for p in level.evens if p in level.resid_a
-        )
-        residual = residual + sum(
-            level.resid_c[p] for p in level.odds if p in level.resid_c
-        )
-        evos = level.next_evos(new_columns)
-        columns = new_columns
-        level_idx += 1
+        residual = level.add_residual(residual)
+        orig, dims = orig[1::2], dims[1::2]
+        cols, evos = level.next_cols, level.next_evos
+        index += 1
 
     # Base case: a single remaining column.
-    base = columns[0]
-    r, r_rhs, resid = engine.compress(
-        [[base.c]], [[base.rhs]], 1, base.rows, base.n
-    )
-    factor.groups.append([RowGroup(np.array([base.orig]), r, (), r_rhs)])
+    rows, n = cols.rows[0], dims[0]
+    r, r_rhs, resid = engine.compress([cols.gather([0], 0, 1)], 1, rows, n)
+    factor.groups.append([RowGroup(np.array(orig), r, (), r_rhs)])
     backend.record_costs(
         [0],
-        lambda _p: _qr_costs(engine.slices, base.rows, base.n, 1)
-        if base.rows
-        else [],
-        phase=f"oddeven/L{level_idx}/base",
+        lambda _p: _qr_costs(engine.slices, rows, n, 1) if rows else [],
+        phase=f"oddeven/L{index}/base",
     )
-    factor.levels.append([base.orig])
+    factor.levels.append(orig)
     if resid is not None:
         residual = residual + resid[0]
     factor.residual_sq = (

@@ -19,12 +19,15 @@ Two properties hold for every stacked call:
   ``s`` of its operands alone, so a slice's bits do not depend on the
   size, composition or chunk boundaries of its stack.
 
-Per-column values travel between stages as :data:`Ref` pairs
-``(stack, index)`` — slice ``index`` of a stacked stage output, or at
-level 0 of one of the whitened problem's per-shape stacks
-(:class:`~repro.model.problem.WhitenedProblem`) — so a group whose
-members sit at evenly spaced positions of one stack is gathered as a
-strided view instead of being copied slice by slice.
+Between stages a level keeps its blocks in stores (:class:`Store`):
+the arrays each stacked call returned stay as they are, and per
+position a store holds plain ints in Python lists (which stack, which
+slot of it, how many rows), so a level allocates a few objects per
+stack rather than per column.  A later stage gathers a run of positions
+as one strided view of the stack they share, or as one concatenation
+where the run spans stacks; level 0 reads the whitened problem's
+per-shape stacks (:class:`~repro.model.problem.WhitenedProblem`) the
+same way.
 """
 
 from __future__ import annotations
@@ -36,32 +39,33 @@ from ..linalg.xp import get_namespace
 
 __all__ = [
     "STACK_SLICES",
-    "Ref",
+    "Store",
     "group_by",
     "stack",
-    "gather",
     "stacked",
 ]
 
 T = TypeVar("T")
 
-#: ``(stack, index)``: slice ``index`` of ``stack``.
-Ref = tuple
-
 
 def group_by(
-    items: Iterable[T], key: Callable[[T], Hashable], slices: int
+    items: Iterable[T], keys: Iterable[Hashable], slices: int
 ) -> list[tuple]:
     """``(key, members)`` runs of ``items`` that share a block signature.
 
-    Groups keep the order of first appearance, and each is cut into
-    consecutive runs whose stacks — members times ``slices`` sequences
-    per block — hold at most :data:`STACK_SLICES` slices, so every
-    array a run gathers, builds or returns stays that small too.
+    ``keys`` holds each item's signature, in item order.  Groups keep
+    the order of first appearance, and each is cut into consecutive
+    runs whose stacks — members times ``slices`` sequences per block —
+    hold at most :data:`STACK_SLICES` slices, so every array a run
+    gathers, builds or returns stays that small too.
     """
     groups: dict = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
+    for item, key in zip(items, keys):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [item]
+        else:
+            members.append(item)
     size = max(1, STACK_SLICES // slices)
     return [
         (k, members[lo : lo + size])
@@ -83,34 +87,75 @@ def stack(blocks: list):
     )
 
 
-def gather(members: list[Ref]):
-    """Stack the referenced blocks along a new leading axis.
+class Store:
+    """Where the blocks of a level's positions live.
 
-    Consecutive members taken from one stack at evenly spaced positions
-    come out as one strided slice of it, so a group that sits in one
-    stack costs a view and a group spread over a few stacks one
-    concatenation of slices.
+    Position ``i``'s blocks are slice ``slot[i]`` of every array of
+    ``stacks[at[i]]`` (a tuple of arrays that share their leading
+    axis), and ``rows[i]`` is their row count.  ``at``, ``slot`` and
+    ``rows`` are int lists, one entry per position.
     """
-    pieces = []
-    lo, count = 0, len(members)
-    while lo < count:
-        base, first = members[lo]
-        hi = lo + 1
-        step = members[hi][1] - first if hi < count else 1
-        if step > 0:
-            while (
-                hi < count
-                and members[hi][0] is base
-                and members[hi][1] == first + (hi - lo) * step
-            ):
-                hi += 1
-        else:
-            step = 1
-        pieces.append(base[first : first + (hi - lo - 1) * step + 1 : step])
-        lo = hi
-    if len(pieces) == 1:
-        return pieces[0]
-    return get_namespace(pieces[0]).concatenate(pieces)
+
+    __slots__ = ("stacks", "at", "slot", "rows")
+
+    def __init__(self, size: int):
+        self.stacks: list[tuple] = []
+        self.at = [0] * size
+        self.slot = [0] * size
+        self.rows = [0] * size
+
+    def put(self, positions, arrays: tuple, rows: int) -> None:
+        """Keep ``arrays``, whose slice ``t`` holds the blocks of
+        ``positions[t]``; every one of them has ``rows`` rows."""
+        index = len(self.stacks)
+        self.stacks.append(arrays)
+        at, slot, count = self.at, self.slot, self.rows
+        for t, i in enumerate(positions):
+            at[i] = index
+            slot[i] = t
+            count[i] = rows
+
+    def gather(self, positions, *fields: int) -> list:
+        """Stack array ``fields[j]`` of each position's stacks along a
+        new leading axis, one array per field.
+
+        Consecutive positions held by one stack at evenly spaced slots
+        come out as one strided slice of it, so positions that sit in
+        one stack cost a view and positions spread over a few stacks
+        one concatenation of slices.
+        """
+        at, slot = self.at, self.slot
+        runs = []
+        lo, count = 0, len(positions)
+        while lo < count:
+            here = at[positions[lo]]
+            first = slot[positions[lo]]
+            hi = lo + 1
+            step = slot[positions[hi]] - first if hi < count else 1
+            if step > 0:
+                while (
+                    hi < count
+                    and at[positions[hi]] == here
+                    and slot[positions[hi]] == first + (hi - lo) * step
+                ):
+                    hi += 1
+            else:
+                step = 1
+            runs.append(
+                (
+                    self.stacks[here],
+                    slice(first, first + (hi - lo - 1) * step + 1, step),
+                )
+            )
+            lo = hi
+        if len(runs) == 1:
+            arrays, where = runs[0]
+            return [arrays[f][where] for f in fields]
+        xp = get_namespace(runs[0][0][fields[0]])
+        return [
+            xp.concatenate([arrays[f][where] for arrays, where in runs])
+            for f in fields
+        ]
 
 
 def stacked(kernel: Callable, *operands, tail: tuple[int, ...]):

@@ -845,10 +845,16 @@ def as_nonlinear(problem: StateSpaceProblem) -> NonlinearProblem:
     on which they converge in one exact step.  Square invertible
     ``H_i`` are reduced away as in
     :func:`~repro.kalman.standard_form.to_standard_form`; rectangular
-    ``H_i`` are a QR-smoother-only feature and raise.
+    ``H_i`` are a QR-smoother-only feature and raise, and so does
+    non-finite data, named by step and field as the linear smoothers
+    name it (the linear maps hide their matrices from
+    :class:`NonlinearProblem`'s own check).
     """
     if isinstance(problem, NonlinearProblem):
         return problem
+    culprit = problem.nonfinite_field()
+    if culprit is not None:
+        raise ValueError(culprit)
     out: list[NonlinearStep] = []
     for i, step in enumerate(problem.steps):
         evo_fn = evo_cov = cvec = None

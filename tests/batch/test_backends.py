@@ -16,6 +16,7 @@ import repro
 from repro.api import EstimatorConfig
 from repro.batch import BatchSmoother
 from repro.batch.plan import PlanCache
+from repro.core.stacked import STACK_SLICES
 from repro.kalman.associative import AssociativeSmoother
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
 from repro.linalg.xp import mirror_call_counts, reset_mirror_counts
@@ -35,6 +36,25 @@ def problems():
 def oracle(problems):
     smoother = PaigeSaundersSmoother()
     return [smoother.smooth(p) for p in problems]
+
+
+@pytest.fixture(scope="module")
+def long_fleet():
+    """Mixed state dims, missing observations and sequences longer than
+    ``STACK_SLICES``: the odd-even stage groups span runs and stacks, so
+    the engine's gathers concatenate as well as slice."""
+    k = STACK_SLICES + 21
+    dims = [2 + (i * 5) % 3 for i in range(k + 1)]
+    fleet = [
+        repro.random_problem(
+            k, seed=s, dims=dims, obs_prob=0.7, random_cov=True
+        )
+        for s in (1, 2)
+    ]
+    fleet.append(
+        repro.random_problem(2 * STACK_SLICES + 11, seed=3, obs_prob=0.7)
+    )
+    return fleet
 
 
 def assert_matches_oracle(results, oracle, atol=1e-6):
@@ -92,6 +112,38 @@ class TestBatchSmootherBackends:
         for r, b in zip(routed, base):
             for i in range(len(r.means)):
                 assert_fn(r.means[i], b.means[i])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestLongMixedFleet:
+    def test_agrees_with_oracle(self, backend, long_fleet):
+        oracle = [PaigeSaundersSmoother().smooth(p) for p in long_fleet]
+        cfg = EstimatorConfig(array_module=backend, plan_cache=PlanCache())
+        results = BatchSmoother().smooth_many(long_fleet, config=cfg)
+        assert_matches_oracle(results, oracle)
+
+    def test_replays_bit_for_bit(self, backend, long_fleet):
+        """A plan-cache replay repeats the first run's bits and, on the
+        mirror, its routed calls; the mirror's bits are numpy's."""
+        sm = BatchSmoother()
+        cfg = EstimatorConfig(array_module=backend, plan_cache=PlanCache())
+        runs, counts = [], []
+        for _ in range(2):
+            reset_mirror_counts()
+            runs.append(sm.smooth_many(long_fleet, config=cfg))
+            counts.append(mirror_call_counts())
+        reset_mirror_counts()
+        assert sm.last_diagnostics["plan_cache"]["hit"] is True
+        expected = [runs[0]]
+        if backend == "mirror":
+            assert counts[0] == counts[1]
+            assert counts[0].get("linalg.qr", 0) > 0
+            expected.append(sm.smooth_many(long_fleet))
+        for reference in expected:
+            for res, ref in zip(runs[1], reference):
+                for name in ("means", "covariances"):
+                    for a, b in zip(getattr(res, name), getattr(ref, name)):
+                        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

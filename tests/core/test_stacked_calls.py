@@ -3,12 +3,13 @@
 One sequence whitens each block shape with one stacked call and solves
 its Cholesky-factored slices in chunks of at most ``STACK_SLICES``; the
 odd-even engine's level 0 gathers its groups from those stacks as
-views, and the factor and SelInv keep their blocks as per-level stacks
-and per-dimension stores.  Kernel calls and live Python objects
+views, its stages hand their outputs on as stacks with int-list
+stores, and the factor and SelInv keep their blocks as per-level
+stacks and per-dimension stores.  Kernel calls and live Python objects
 therefore grow with the number of chunks, ``ceil(k / STACK_SLICES)``,
 not with the number of steps ``k``; a return to per-step whitening,
-per-step level-0 blocks or per-column factor rows multiplies them by
-``k``.
+per-step level-0 blocks, a per-column stage handoff or per-column
+factor rows multiplies them by ``k``.
 """
 
 from __future__ import annotations
@@ -96,18 +97,30 @@ def test_fleet_whitening_calls_count_shape_groups_not_steps(monkeypatch):
 def test_level_zero_gathers_views_of_the_whitened_stacks():
     for k in (SHORT, LONG):
         white = sequence(k).whiten()
-        columns, evos = _level_zero(white)
+        cols, evos = _level_zero(white)
         stacks = [stack for _, stack in white.obs + white.evo]
-        refs = [ref for col in columns for ref in (col.c, col.rhs)]
-        refs += [ref for evo in evos[1:] for ref in (evo.d, evo.rhs)]
+        views = [a for arrays in cols.stacks for a in arrays]
+        views += [a for arrays in evos.stacks for a in arrays[1:]]
         # Two view bases per observation group, two per evolution group
         # (the negated B is the one copy, made once per group).
-        assert len({id(base) for base, _ in refs}) == 2 * len(stacks)
+        assert len({id(a) for a in views}) == 2 * len(stacks)
         assert all(
-            any(np.shares_memory(base, stack) for stack in stacks)
-            for base, _ in refs
+            any(np.shares_memory(a, stack) for stack in stacks)
+            for a in views
         )
-        assert len({id(evo.nb[0]) for evo in evos[1:]}) == len(white.evo)
+        assert len({id(arrays[0]) for arrays in evos.stacks}) == len(
+            white.evo
+        )
+        # The metadata is plain ints, one entry per step.
+        for store in (cols, evos):
+            for column in (store.at, store.slot, store.rows):
+                assert len(column) == k + 1
+                assert all(type(x) is int for x in column)
+        # Stage A's first group, the even columns from 2 on, sits at
+        # evenly spaced slots of one stack: one strided view.
+        c, rhs = cols.gather(list(range(2, k + 1, 2)), 0, 1)
+        assert any(np.shares_memory(c, stack) for stack in stacks)
+        assert any(np.shares_memory(rhs, stack) for stack in stacks)
 
 
 def test_factorization_qr_calls_grow_with_chunks_not_steps(monkeypatch):
@@ -118,7 +131,29 @@ def test_factorization_qr_calls_grow_with_chunks_not_steps(monkeypatch):
         calls.clear()
         oddeven_factorize(white)
         counts[k] = len(calls)
-    assert counts[LONG] <= counts[SHORT] * CHUNKS
+    # The engine calls the kernel through the module attribute, which
+    # is what a counter patched onto it sees.
+    assert 0 < counts[SHORT] <= counts[LONG] <= counts[SHORT] * CHUNKS
+
+
+def test_factorization_sets_off_no_garbage_collection():
+    """A per-column handoff between stages (an object, a tuple or a
+    dict entry per column and stage) fills the collector's youngest
+    generation every few hundred columns: about 20 collections here."""
+    white = sequence(LONG).whiten()
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        oddeven_factorize(white)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(collections) <= 1, collections
 
 
 def reachable_containers(*roots) -> int:

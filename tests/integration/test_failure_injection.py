@@ -245,6 +245,20 @@ class TestNaNPropagationGuard:
         with pytest.raises(ValueError, match=f"step 6 has a non-finite {field}"):
             smoother.smooth(self.poisoned(field))
 
+    @pytest.mark.parametrize(
+        "name", ["gauss-newton", "levenberg-marquardt", "ipls"]
+    )
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_iterated_smoothers_name_step_and_field(self, field, name):
+        """A linear problem reaches GN, LM and IPLS as linear maps, which
+        used to hide a non-finite ``F``, ``G`` or ``H`` until the EKF
+        start or a solve failed on a singular matrix."""
+        import repro
+
+        smoother = repro.make_smoother(name)
+        with pytest.raises(ValueError, match=f"step 6 has a non-finite {field}"):
+            smoother.smooth(self.poisoned(field))
+
     @pytest.mark.parametrize("dtype", [None, "mixed"])
     @pytest.mark.parametrize("field", sorted(CASES))
     def test_smooth_many_names_problem_step_and_field(self, field, dtype):
