@@ -228,17 +228,14 @@ def register_builtin_smoothers(registry: SmootherRegistry) -> None:
     )
     registry.register(
         "gauss-newton",
-        _lazy("repro.nonlinear.gauss_newton", "GaussNewtonSmoother"),
+        _lazy("repro.nonlinear.ipls", "GaussNewtonSmoother"),
         capabilities=_NONLINEAR,
         summary="iterated (Gauss-Newton) nonlinear smoother, NC inner "
         "solves",
     )
     registry.register(
         "levenberg-marquardt",
-        _lazy(
-            "repro.nonlinear.levenberg_marquardt",
-            "LevenbergMarquardtSmoother",
-        ),
+        _lazy("repro.nonlinear.ipls", "LevenbergMarquardtSmoother"),
         capabilities=_NONLINEAR,
         summary="damped iterated nonlinear smoother, NC inner solves",
     )

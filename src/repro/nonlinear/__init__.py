@@ -2,11 +2,11 @@
 
 from .batched import IterateState, drive_batched
 from .ekf import extended_kalman_filter
-from .gauss_newton import GaussNewtonSmoother, GaussNewtonTrace
-from .ipls import IPLSTrace, IteratedPosteriorLinearizationSmoother
-from .levenberg_marquardt import (
+from .ipls import (
+    GaussNewtonSmoother,
+    IteratedPosteriorLinearizationSmoother,
+    IterationTrace,
     LevenbergMarquardtSmoother,
-    LMTrace,
     damp_problem,
 )
 
@@ -15,10 +15,8 @@ __all__ = [
     "drive_batched",
     "IterateState",
     "GaussNewtonSmoother",
-    "GaussNewtonTrace",
     "IteratedPosteriorLinearizationSmoother",
-    "IPLSTrace",
     "LevenbergMarquardtSmoother",
-    "LMTrace",
+    "IterationTrace",
     "damp_problem",
 ]

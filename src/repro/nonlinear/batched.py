@@ -25,15 +25,15 @@ running problem ``j`` alone through the same driver — which is exactly
 how every iterated smoother's ``smooth`` is implemented (a workload of
 one), so its ``smooth_many`` is bit-for-bit the per-problem loop.
 
-The algorithm-specific hooks live on the smoother classes:
+The hooks live on :class:`~repro.nonlinear.ipls.IteratedSmoother`:
 
-``_batch_begin(problem, config, initial)``
+``_batch_begin(problem, initial)``
     Build the per-problem :class:`IterateState` (initial trajectory,
     objective, trace).
 ``_batch_emit(state, config)``
     The linearized (possibly damped) linear problem for this outer
     iteration.
-``_batch_absorb(state, result, config)``
+``_batch_absorb(state, result)``
     Fold one inner solution back into the state; set ``state.done``
     when converged (or exhausted).
 ``_batch_iteration_covariance()`` / ``_batch_final_cov_pass()``
@@ -56,6 +56,7 @@ import numpy as np
 
 from .. import obs
 from ..api import EstimatorConfig, call_smoother_many
+from ..core.smoother import reject_nonfinite
 from ..model.nonlinear import EquationGroups, NonlinearProblem, as_nonlinear
 from ..model.problem import StateSpaceProblem
 
@@ -88,12 +89,10 @@ class IterateState:
     covariances: list[np.ndarray] | None = None
     #: current nonlinear objective value
     objective: float = float("inf")
-    #: outer iterations consumed (inner solves absorbed)
-    iterations: int = 0
     #: converged or exhausted: drop out of subsequent stacked solves
     done: bool = False
-    #: algorithm-specific extras (trace, damping parameter, ...)
-    extra: dict[str, Any] = field(default_factory=dict)
+    #: the smooth's :class:`~repro.nonlinear.ipls.IterationTrace`
+    trace: Any = None
     #: the problem's equation groups and factored model covariances,
     #: built once per smooth call and shared by all of its iterations
     groups: EquationGroups = field(init=False)
@@ -104,13 +103,6 @@ class IterateState:
     def objective_at(self, trajectory: list[np.ndarray]) -> float:
         """The problem's objective at ``trajectory``."""
         return self.problem.objective(trajectory, groups=self.groups)
-
-    def linearize(self, **options) -> StateSpaceProblem:
-        """The problem linearized at the current trajectory
-        (``options`` as :meth:`NonlinearProblem.linearize` takes them)."""
-        return self.problem.linearize(
-            self.trajectory, groups=self.groups, **options
-        )
 
 
 def drive_batched(
@@ -125,14 +117,23 @@ def drive_batched(
     ``config`` must already be resolved.  Results are in the caller's
     order; each problem iterates until its own convergence test passes
     or ``owner.max_iterations`` is reached, exactly as if it were
-    alone.
+    alone.  ``smooth`` passes its ``initial=`` as ``initials``; without
+    them (``smooth_many``) a non-finite input error names its index.
     """
-    problems = [as_nonlinear(p) for p in problems]
+    lifted = []
+    for j, p in enumerate(problems):
+        try:
+            lifted.append(as_nonlinear(p))
+        except ValueError as exc:
+            where = [j] if initials is None else None
+            name = f"the {owner.name} smoother"
+            reject_nonfinite([p], exc, indices=where, smoother=name)
+            raise
+    problems = lifted
     if initials is None:
         initials = [None] * len(problems)
     states = [
-        owner._batch_begin(p, config, init)
-        for p, init in zip(problems, initials)
+        owner._batch_begin(p, init) for p, init in zip(problems, initials)
     ]
     inner = owner.inner
     inner_config = EstimatorConfig(
@@ -158,8 +159,7 @@ def drive_batched(
                 results = call_smoother_many(inner, linears, config=inner_config)
         with phase("absorb"):
             for state, result in zip(active, results):
-                state.iterations += 1
-                owner._batch_absorb(state, result, config)
+                owner._batch_absorb(state, result)
     covariances: list = [None] * len(states)
     if config.compute_covariance and owner._batch_final_cov_pass():
         finals = call_smoother_many(

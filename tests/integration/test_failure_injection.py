@@ -259,6 +259,22 @@ class TestNaNPropagationGuard:
         with pytest.raises(ValueError, match=f"step 6 has a non-finite {field}"):
             smoother.smooth(self.poisoned(field))
 
+    @pytest.mark.parametrize(
+        "name", ["gauss-newton", "levenberg-marquardt", "ipls"]
+    )
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_iterated_smooth_many_names_problem_and_smoother(self, field, name):
+        import repro
+
+        fleet = [random_problem(12, seed=1, dims=3, random_cov=True)]
+        fleet.append(self.poisoned(field))
+        with pytest.raises(
+            ValueError,
+            match=rf"problem index 1 .*step 6 has a non-finite {field}; "
+            rf"the {name} smoother",
+        ):
+            repro.make_smoother(name).smooth_many(fleet)
+
     @pytest.mark.parametrize("dtype", [None, "mixed"])
     @pytest.mark.parametrize("field", sorted(CASES))
     def test_smooth_many_names_problem_step_and_field(self, field, dtype):

@@ -17,9 +17,11 @@ from repro import obs
 from repro.api import EstimatorConfig
 from repro.batch.plan import PlanCache
 from repro.model.nonlinear import pendulum_problem
-from repro.nonlinear.gauss_newton import GaussNewtonSmoother
-from repro.nonlinear.ipls import IteratedPosteriorLinearizationSmoother
-from repro.nonlinear.levenberg_marquardt import LevenbergMarquardtSmoother
+from repro.nonlinear import (
+    GaussNewtonSmoother,
+    IteratedPosteriorLinearizationSmoother,
+    LevenbergMarquardtSmoother,
+)
 
 NONLINEAR_NAMES = ["gauss-newton", "ipls", "levenberg-marquardt"]
 

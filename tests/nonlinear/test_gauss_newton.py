@@ -10,7 +10,7 @@ from repro.kalman.rts import RTSSmoother
 from repro.model.dense import dense_solve
 from repro.model.generators import random_problem
 from repro.model.nonlinear import pendulum_problem
-from repro.nonlinear.gauss_newton import GaussNewtonSmoother
+from repro.nonlinear import GaussNewtonSmoother
 from tests.nonlinear.test_ekf import linear_as_nonlinear
 
 
@@ -97,6 +97,25 @@ class TestConfigurations:
         )
         assert ls.residual_sq <= plain.residual_sq + 1e-6
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("backtrack", 1.0),
+            ("backtrack", 2.0),
+            ("backtrack", 0.0),
+            ("min_step", 0.0),
+            ("min_step", float("nan")),
+            ("armijo_c", 0.0),
+            ("armijo_c", 1.0),
+        ],
+    )
+    def test_line_search_options_validated(self, option, value):
+        """A ``backtrack`` of 1 or more never shrinks the step and a
+        ``min_step`` of 0 is never reached, so the search would never
+        end; construction rejects them (and the test never solves)."""
+        with pytest.raises(ValueError, match=option):
+            GaussNewtonSmoother(line_search=True, **{option: value})
+
     def test_line_search_matches_full_steps_on_easy_problem(self):
         problem, _ = pendulum_problem(k=40, seed=1)
         ls = GaussNewtonSmoother(line_search=True).smooth(problem)
@@ -106,9 +125,7 @@ class TestConfigurations:
     def test_undamped_gn_can_stall_where_lm_succeeds(self):
         """Motivates LM (ref. [17]): full GN steps converge only
         linearly (or stall) on some strongly nonlinear batches."""
-        from repro.nonlinear.levenberg_marquardt import (
-            LevenbergMarquardtSmoother,
-        )
+        from repro.nonlinear import LevenbergMarquardtSmoother
 
         problem, _ = pendulum_problem(k=30, seed=4)
         gn = GaussNewtonSmoother(max_iterations=20).smooth(

@@ -7,9 +7,13 @@ tracking scenarios — that last gap is the whole reason the iterated
 sigma-point smoother exists.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
+import repro
+from repro import obs
 from repro.api import EstimatorConfig
 from repro.kalman.paige_saunders import PaigeSaundersSmoother
 from repro.model.generators import random_problem
@@ -21,10 +25,10 @@ from repro.model.nonlinear import (
     pendulum_problem,
 )
 from repro.nonlinear.ekf import extended_kalman_filter
-from repro.nonlinear.gauss_newton import GaussNewtonSmoother
 from repro.nonlinear.ipls import (
-    IPLSTrace,
+    GaussNewtonSmoother,
     IteratedPosteriorLinearizationSmoother,
+    IterationTrace,
 )
 from tests.nonlinear.test_ekf import linear_as_nonlinear
 
@@ -129,14 +133,6 @@ class TestOnPendulum:
         _p, _t, result = solved
         assert result.diagnostics["converged"]
         assert result.diagnostics["linearizer"] == "sigma-point"
-
-    def test_trace_records_every_iteration(self, solved):
-        _p, _t, result = solved
-        trace = result.diagnostics["trace"]
-        assert isinstance(trace, IPLSTrace)
-        assert trace.iterations == result.diagnostics["iterations"]
-        assert len(trace.step_norms) == trace.iterations
-        assert trace.converged
 
     def test_beats_single_pass_ekf_linearization(self):
         """Averaged over realizations — a single seed's RMSE ordering
@@ -264,10 +260,98 @@ class TestConfiguration:
         result = IteratedPosteriorLinearizationSmoother().smooth(problem)
         assert result.algorithm == "ipls[sigma-point+batch-odd-even]"
 
-    def test_iterations_histogram_recorded(self):
-        from repro import obs
 
+PRESETS = ["gauss-newton", "ipls", "levenberg-marquardt"]
+
+
+class TestSharedLoop:
+    """GN, LM and IPLS are presets of one outer loop: one trace, one
+    result, one metrics export and one set of traced bindings."""
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_trace_records_every_iteration(self, name):
+        # seed 2 makes LM reject about half of its steps
+        problem, _ = cubic_sensor_problem(k=50, seed=2)
+        result = repro.make_smoother(name).smooth(problem)
+        trace = result.diagnostics["trace"]
+        assert isinstance(trace, IterationTrace)
+        assert (
+            trace.iterations
+            == result.diagnostics["iterations"]
+            == len(trace.objectives) - 1
+        )
+        assert result.residual_sq == trace.objectives[-1]
+        assert trace.converged == result.diagnostics["converged"]
+        if name == "levenberg-marquardt":
+            assert len(trace.lambdas) == len(trace.accepted) == trace.iterations
+            assert result.diagnostics["final_lambda"] == trace.lambdas[-1]
+            assert len(trace.step_norms) == sum(trace.accepted)
+            assert not all(trace.accepted)
+        else:
+            assert len(trace.step_norms) == trace.iterations
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_iterations_histogram_recorded(self, name):
         problem, _ = pendulum_problem(k=20, seed=0)
-        IteratedPosteriorLinearizationSmoother().smooth(problem)
-        hist = obs.get_registry().histogram("repro_ipls_iterations")
+        result = repro.make_smoother(name).smooth(problem)
+        hist = obs.get_registry().histogram(
+            "repro_nonlinear_iterations", smoother=name
+        )
         assert hist.count == 1
+        assert hist.sum == result.diagnostics["iterations"]
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_nonconverged_counter_counts_unconverged_results(self, name):
+        # one state: the EKF start is already the solution, so the
+        # first step is at roundoff and converges
+        problems = [pendulum_problem(k=20, seed=s)[0] for s in range(3)]
+        problems.insert(1, random_problem(k=0, seed=1, dims=2))
+        results = repro.make_smoother(name, max_iterations=1).smooth_many(
+            problems
+        )
+        nonconverged = sum(not r.diagnostics["converged"] for r in results)
+        assert 0 < nonconverged < len(results)
+        series = obs.parse_prometheus(obs.to_prometheus(obs.get_registry()))
+        (counter,) = [
+            s
+            for s in series["repro_nonlinear_nonconverged_total"]
+            if s["labels"] == {"smoother": name}
+        ]
+        assert counter["value"] == nonconverged
+
+    @pytest.mark.parametrize("many", [False, True])
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_calls_go_through_the_traced_bindings(
+        self, name, many, monkeypatch
+    ):
+        """perfbench's traced pass times the loop, the EKF start and the
+        inner solves by patching these three module attributes, so
+        every preset must call through them."""
+        import repro.nonlinear.batched as batched
+        import repro.nonlinear.ipls as ipls
+
+        calls = collections.Counter()
+
+        def count(module, attr):
+            original = getattr(module, attr)
+
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+
+        count(ipls, "drive_batched")
+        count(ipls, "extended_kalman_filter")
+        count(batched, "call_smoother_many")
+        problem, _ = pendulum_problem(k=10, seed=0)
+        smoother = repro.make_smoother(name, max_iterations=2)
+        if many:
+            smoother.smooth_many([problem, problem])
+        else:
+            smoother.smooth(problem)
+        assert set(calls) == {
+            "drive_batched",
+            "extended_kalman_filter",
+            "call_smoother_many",
+        }

@@ -8,8 +8,8 @@ from repro.core.smoother import OddEvenSmoother
 from repro.model.dense import dense_solve
 from repro.model.generators import random_problem
 from repro.model.nonlinear import coordinated_turn_problem, pendulum_problem
-from repro.nonlinear.gauss_newton import GaussNewtonSmoother
-from repro.nonlinear.levenberg_marquardt import (
+from repro.nonlinear import (
+    GaussNewtonSmoother,
     LevenbergMarquardtSmoother,
     damp_problem,
 )
