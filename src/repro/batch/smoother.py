@@ -65,7 +65,8 @@ from .stacking import Bucket, stack_whitened
 
 __all__ = ["BatchSmoother"]
 
-#: how non-finite-input errors of the associative method name it
+#: how non-finite-input errors of the two methods name them
+_ODD_EVEN = "the batched odd-even smoother"
 _ASSOCIATIVE = "the batched associative smoother"
 
 
@@ -270,14 +271,18 @@ class BatchSmoother(SmootherBase):
     def _smooth(
         self, problem: StateSpaceProblem, config: EstimatorConfig
     ) -> SmootherResult:
-        """Single-problem entry (a batch of one)."""
-        return self._smooth_workload([problem], config)[0]
+        """Single-problem entry (a batch of one whose errors name no
+        workload index)."""
+        return self._smooth_workload([problem], config, single=True)[0]
 
     # ------------------------------------------------------------------
     # workload orchestration
     # ------------------------------------------------------------------
     def _smooth_workload(
-        self, problems: list[StateSpaceProblem], config: EstimatorConfig
+        self,
+        problems: list[StateSpaceProblem],
+        config: EstimatorConfig,
+        single: bool = False,
     ) -> list[SmootherResult]:
         phases = {
             "plan": 0.0,
@@ -313,12 +318,16 @@ class BatchSmoother(SmootherBase):
         diag["plan_cache"] = {"hit": hit, **cache.stats()}
         for bucket in plan.buckets:
             members = bucket.members(problems)
+            # where non-finite-input errors say the culprit sits
+            where = None if single else bucket.indices
             if exact:
                 out = self._associative_stack(
-                    members, bucket, config, phases
+                    members, bucket, config, phases, where
                 )
             else:
-                out = self._oddeven_stack(members, bucket, config, phases)
+                out = self._oddeven_stack(
+                    members, bucket, config, phases, where
+                )
             for idx, result in zip(bucket.indices, out):
                 results[idx] = result
         diag["total_s"] = time.perf_counter() - t_start
@@ -363,6 +372,7 @@ class BatchSmoother(SmootherBase):
         bucket: Bucket,
         config: EstimatorConfig,
         phases: dict,
+        where: tuple[int, ...] | None,
     ) -> list[SmootherResult]:
         backend = config.backend
         want_cov = config.compute_covariance
@@ -415,9 +425,9 @@ class BatchSmoother(SmootherBase):
         except np.linalg.LinAlgError as exc:
             # A singular or non-finite diagonal, or a non-finite state,
             # is often non-finite input: name it instead.
-            reject_nonfinite(members, exc, indices=bucket.indices)
+            reject_nonfinite(members, exc, indices=where, smoother=_ODD_EVEN)
             slices = getattr(exc, "batch_slices", None)
-            if not slices:
+            if not slices or where is None:
                 raise
             culprits = [
                 bucket.indices[s]
@@ -429,7 +439,7 @@ class BatchSmoother(SmootherBase):
                 "smooth_many workload)"
             ) from exc
         if not np.isfinite(to_host(residual)).all():
-            reject_nonfinite(members, None, indices=bucket.indices)
+            reject_nonfinite(members, None, indices=where, smoother=_ODD_EVEN)
         algorithm = "batch-odd-even" + ("" if want_cov else "-nc")
         depth = factor.depth()
         if foreign:
@@ -485,6 +495,7 @@ class BatchSmoother(SmootherBase):
         bucket: Bucket,
         config: EstimatorConfig,
         phases: dict,
+        where: tuple[int, ...] | None,
     ) -> list[SmootherResult]:
         ab = getattr(config, "array_module", None)
         foreign = ab is not None and getattr(ab, "name", "numpy") != "numpy"
@@ -495,14 +506,14 @@ class BatchSmoother(SmootherBase):
             )
         except np.linalg.LinAlgError as exc:
             reject_nonfinite(
-                members, exc, indices=bucket.indices, smoother=_ASSOCIATIVE
+                members, exc, indices=where, smoother=_ASSOCIATIVE
             )
             raise
         phases["scan"] += time.perf_counter() - t0
         reject_nonfinite_outputs(
             members,
             (*means, *covs),
-            indices=bucket.indices,
+            indices=where,
             smoother=_ASSOCIATIVE,
         )
         out = []

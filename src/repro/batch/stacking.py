@@ -35,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..model.problem import StateSpaceProblem, WhitenedProblem, whiten_problems
+from ..linalg.cholesky import Whitener
+from ..model.problem import (
+    EquationStack,
+    StateSpaceProblem,
+    WhitenedProblem,
+    whiten_problems,
+)
 from ..model.steps import Evolution, Step
 
 __all__ = [
@@ -65,17 +71,13 @@ def structure_signature(
     exactly as :meth:`StateSpaceProblem.whiten` folds it) for an exact
     shape fingerprint.
     """
-    sig = []
-    for i, step in enumerate(problem.steps):
-        evo_rows = 0 if step.evolution is None else step.evolution.rows
-        entry: tuple = (step.state_dim, evo_rows)
-        if obs_rows:
-            rows = step.obs_dim
-            if i == 0 and problem.prior is not None:
-                rows += problem.prior.dim
-            entry += (rows,)
-        sig.append(entry)
-    return tuple(sig)
+    evo_rows, observed = problem.row_counts()
+    dims = problem.state_dims
+    if not obs_rows:
+        return tuple(zip(dims, evo_rows))
+    if problem.prior is not None:
+        observed = [observed[0] + problem.prior.dim] + observed[1:]
+    return tuple(zip(dims, evo_rows, observed))
 
 
 def padded_length(n_states: int) -> int:
@@ -96,7 +98,8 @@ def pad_problem(
     Each appended step carries ``u_{i} = I u_{i-1}`` with unit noise
     covariance and no observation; the smoothed estimates of the
     original states (and the residual) are unchanged, and the padded
-    states simply replicate the last original state's estimate.
+    states simply replicate the last original state's estimate.  A
+    problem held as stacks is padded with one more evolution stack.
     """
     have = problem.n_states
     if n_states_target < have:
@@ -105,10 +108,26 @@ def pad_problem(
         )
     if n_states_target == have:
         return problem
-    n_last = problem.steps[-1].state_dim
+    dims = problem.state_dims
+    n_last = dims[-1]
+    count = n_states_target - have
+    if problem.evolution_stacks is not None:
+        pad = EquationStack(
+            "evolution covariance K",
+            tuple(range(have, n_states_target)),
+            np.broadcast_to(np.eye(n_last), (count, n_last, n_last)),
+            np.broadcast_to(np.zeros(n_last), (count, n_last)),
+            [Whitener.identity(n_last)] * count,
+        )
+        return StateSpaceProblem.from_groups(
+            dims + [n_last] * count,
+            problem.evolution_stacks + [pad],
+            problem.observation_stacks,
+            problem.prior,
+        )
     extra = [
         Step(state_dim=n_last, evolution=Evolution(F=np.eye(n_last)))
-        for _ in range(n_states_target - have)
+        for _ in range(count)
     ]
     return StateSpaceProblem(
         list(problem.steps) + extra, prior=problem.prior
@@ -169,7 +188,7 @@ def bucket_problems(
         # Signature the problem would have after padding to its
         # power-of-two length bucket (each padding step adds one
         # unobserved identity evolution of the last state's dim).
-        n_last = problem.steps[-1].state_dim
+        n_last = sig[-1][0]
         entry = (n_last, n_last, 0) if exact_obs else (n_last, n_last)
         sig = sig + (entry,) * (
             padded_length(problem.n_states) - problem.n_states

@@ -99,7 +99,8 @@ def spd_cholesky(
     message when ``a`` is not symmetric positive definite; the paper's
     algorithms require nonsingular noise covariances (§2.2: the
     QR-based methods cannot handle singular ``K_i``/``L_i``).  When
-    either check fails on a NaN or infinite entry, the error says the
+    either check fails on a NaN or infinite entry, or the factor of an
+    infinite variance has an infinite diagonal, the error says the
     matrix "has a non-finite entry" instead.
 
     An ``(N, n, n)`` stack is checked with the same symmetry tolerance
@@ -132,6 +133,9 @@ def spd_cholesky(
             f"{what} is not positive definite{detail}; the QR-based "
             "smoothers require nonsingular noise covariances"
         ) from exc
+    # potrf accepts a +inf variance; whitening would then zero its row.
+    if not np.isfinite(factor.diagonal()).all():
+        raise np.linalg.LinAlgError(f"{what} {_NONFINITE}")
     add_cost(cholesky_flops(a.shape[0]))
     return factor
 
@@ -167,6 +171,9 @@ def _spd_cholesky_stack(
             failed,
             names,
         )
+    infinite = ~np.isfinite(np.diagonal(factor, axis1=1, axis2=2)).all(axis=1)
+    if infinite.any():
+        raise _slice_error(_NONFINITE, what, infinite, names)
     add_cost(a.shape[0] * cholesky_flops(a.shape[1]))
     return factor
 
@@ -330,20 +337,21 @@ class Whitener:
         return scale * np.eye(self.dim)
 
 
-def stack_whiten(
-    whiteners: Sequence[Whitener], stack: np.ndarray
-) -> np.ndarray:
+def stack_whiten(whiteners, stack: np.ndarray) -> np.ndarray:
     """Whiten slice ``b`` of a ``(S, rows, cols)`` stack by ``whiteners[b]``.
 
-    Each slice takes the kernel its own whitener selects: nothing for a
-    unit covariance, one division for a scaled identity, and for the
-    slices that carry a Cholesky factor one batched triangular solve
-    per :data:`~repro.linalg.triangular.STACK_SLICES` of them.  Slice
-    ``b`` therefore depends on ``stack[b]`` and ``whiteners[b]`` alone:
-    it equals ``whiteners[b].whiten(stack[b])`` exactly for the
-    identity kinds and to roundoff for a factor (a batched general
-    solve stands in for the 2-D triangular one), and each slice is
-    charged what that call charges.
+    ``whiteners[b]`` is a :class:`Whitener` or the lower Cholesky factor
+    of slice ``b``'s covariance, and ``whiteners`` may be an ``(S, rows,
+    rows)`` stack of such factors.  Each slice takes the kernel its own
+    whitener selects: nothing for a unit covariance, one division for a
+    scaled identity, and for the slices that carry a Cholesky factor one
+    batched triangular solve per
+    :data:`~repro.linalg.triangular.STACK_SLICES` of them.  Slice ``b``
+    therefore depends on ``stack[b]`` and ``whiteners[b]`` alone: it
+    equals ``whiteners[b].whiten(stack[b])`` exactly for the identity
+    kinds and to roundoff for a factor (a batched general solve stands
+    in for the 2-D triangular one), and each slice is charged what that
+    call charges.
 
     ``stack`` is a host array the caller has just built and owns; it is
     whitened in place and returned, so unit slices cost no copy.
@@ -358,14 +366,32 @@ def stack_whiten(
             f"{len(whiteners)} whiteners cannot whiten a stack of "
             f"{count} slices"
         )
+    if isinstance(whiteners, np.ndarray):
+        if whiteners.shape[1:] != (rows, rows):
+            raise ValueError(
+                f"cannot whiten {rows} rows with factors of shape "
+                f"{whiteners.shape[1:]}"
+            )
+        if rows and cols:
+            for lo in range(0, count, STACK_SLICES):
+                part = slice(lo, lo + STACK_SLICES)
+                stack[part] = solve_lower(
+                    whiteners[part].astype(stack.dtype, copy=False), stack[part]
+                )
+        return stack
     scaled, scales, solved, factors = [], [], [], []
     for b, w in enumerate(whiteners):
-        if w.dim != rows:
+        factor = isinstance(w, np.ndarray)
+        dim = w.shape[0] if factor else w.dim
+        if dim != rows:
+            what = "factor" if factor else f"{w.what} whitener"
             raise ValueError(
-                f"cannot whiten {rows} rows with a dimension-{w.dim} "
-                f"{w.what} whitener"
+                f"cannot whiten {rows} rows with a dimension-{dim} {what}"
             )
-        if w._factor is not None:
+        if factor:
+            solved.append(b)
+            factors.append(w)
+        elif w._factor is not None:
             solved.append(b)
             factors.append(w._factor)
         elif not w.is_unit:

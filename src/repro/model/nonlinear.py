@@ -34,14 +34,14 @@ bearings-only tunnel, cubic sensor).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..linalg.cholesky import Whitener, spd_cholesky, whiten_each
-from .problem import StateSpaceProblem
-from .steps import Evolution, GaussianPrior, Observation, Step, _as_cov_whitener
+from .problem import EquationStack, StateSpaceProblem
+from .steps import GaussianPrior, _as_cov_whitener
 
 __all__ = [
     "NonlinearFunction",
@@ -504,7 +504,7 @@ class EquationGroup:
     """
 
     what: str
-    steps: list[int]
+    steps: tuple[int, ...]
     sources: list[int]
     fn: NonlinearFunction | list[NonlinearFunction]
     data: np.ndarray
@@ -512,6 +512,8 @@ class EquationGroup:
     factors: np.ndarray | None
     whiteners: list[Whitener] | None
     model: np.ndarray
+    #: ``factors`` of the covariances cast to another dtype, by dtype
+    cast_factors: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, what, steps, sources, fns, data, covs) -> "EquationGroup":
@@ -527,7 +529,7 @@ class EquationGroup:
         shared = all(f is fns[0] for f in fns)
         return cls(
             what=what,
-            steps=steps,
+            steps=tuple(steps),
             sources=sources,
             fn=fns[0] if shared else fns,
             data=data,
@@ -546,32 +548,34 @@ class EquationGroup:
         distinct function."""
         return _evaluate(self.fn, self.points(states))
 
-    def noise(self, omega, dtype) -> list:
-        """The noise of each linearized equation.
+    def noise(self, omega, dtype) -> np.ndarray | list[Whitener]:
+        """The noise of the linearized equations, as the stack of its
+        Cholesky factors or, for non-matrix model covariances under a
+        point linearization, as :attr:`whiteners`.
 
         Point linearizations (``omega is None``) keep the model
-        covariance: a matrix becomes the whitener of its factor
-        (factored again from the matrix cast to ``dtype`` when one is
-        given), anything else its own whitener.  Statistical
-        linearizations add the SLR residual covariance to the model
-        covariance and validate and factor the sums, cast to ``dtype``,
-        in one stacked call.
+        covariance: a matrix keeps its factor (factored again from the
+        matrix cast to ``dtype`` when one is given, once per dtype).
+        Statistical linearizations add the SLR residual covariance to
+        the model covariance and validate and factor the sums, cast to
+        ``dtype``, in one stacked call.
         """
-        if omega is None:
-            if self.factors is None:
-                return self.whiteners
-            factors = self.factors
-            if dtype is not None:
-                factors = _model_factors(
-                    self.covs, self.data.shape[1], self.what, self.steps, dtype
-                )
-        else:
-            factors = spd_cholesky(
+        if omega is not None:
+            return spd_cholesky(
                 _cast(self.model + omega, dtype),
                 f"{self.what} + omega",
                 names=_step_names(self.steps),
             )
-        return [Whitener(f, kind="factor", what=self.what) for f in factors]
+        if self.factors is None:
+            return self.whiteners
+        if dtype is None:
+            return self.factors
+        key = np.dtype(dtype)
+        if key not in self.cast_factors:
+            self.cast_factors[key] = _model_factors(
+                self.covs, self.data.shape[1], self.what, self.steps, dtype
+            )
+        return self.cast_factors[key]
 
     def squares(self, resid: np.ndarray) -> np.ndarray:
         """``|V r|^2`` of each residual row, whitened exactly as its own
@@ -742,7 +746,11 @@ class NonlinearProblem:
         linearizer call per group, which calls each model function once
         on the stack of its points, and one stacked validation and
         factorization per group of the inflated noise covariances.
-        Their errors name the step.
+        Their errors name the step.  The result holds each group as one
+        :class:`~repro.model.problem.EquationStack`
+        (:meth:`StateSpaceProblem.from_groups`): whitening reads the
+        stacks, and its ``steps`` are a read-only view built on first
+        use.
         """
         states = self._states(trajectory)
         lin = linearizer if linearizer is not None else JacobianLinearizer()
@@ -759,40 +767,31 @@ class NonlinearProblem:
             )
         groups = groups if groups is not None else self.equation_groups()
 
-        def linearized(g: EquationGroup):
+        def linearized(g: EquationGroup, rhs) -> EquationStack:
             lf = lin.linearize(
                 g.fn, g.points(states), _stack_at(covariances, g.sources)
             )
-            return lf, g.noise(lf.omega, dtype)
-
-        evolutions: dict[int, Evolution] = {}
-        for g in groups.evolution:
-            lf, noise = linearized(g)
-            c = _cast(g.data + lf.c, dtype)
-            f = _cast(lf.F, dtype)
-            for j, i in enumerate(g.steps):
-                evolutions[i] = Evolution(F=f[j], c=c[j], K=noise[j])
-        observations: dict[int, Observation] = {}
-        for g in groups.observation:
-            lf, noise = linearized(g)
-            gm, o = _cast(lf.F, dtype), _cast(g.data - lf.c, dtype)
-            for j, i in enumerate(g.steps):
-                observations[i] = Observation(G=gm[j], o=o[j], L=noise[j])
-        out = [
-            Step(
-                state_dim=s.state_dim,
-                evolution=evolutions.get(i),
-                observation=observations.get(i),
+            noise = g.noise(lf.omega, dtype)
+            return EquationStack(
+                g.what,
+                g.steps,
+                _cast(lf.F, dtype),
+                _cast(rhs(g.data, lf.c), dtype),
+                noise,
             )
-            for i, s in enumerate(self.steps)
-        ]
+
         prior = self.prior
         if dtype is not None and prior is not None:
             prior = GaussianPrior(
                 mean=_cast(prior.mean, dtype),
                 cov=_cast(prior.cov_matrix(), dtype),
             )
-        return StateSpaceProblem(out, prior=prior)
+        return StateSpaceProblem.from_groups(
+            self.state_dims,
+            [linearized(g, np.add) for g in groups.evolution],
+            [linearized(g, np.subtract) for g in groups.observation],
+            prior,
+        )
 
     def objective(
         self,

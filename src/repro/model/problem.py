@@ -27,6 +27,7 @@ from ..linalg.xp import get_namespace
 from .steps import Evolution, GaussianPrior, Observation, Step
 
 __all__ = [
+    "EquationStack",
     "StateSpaceProblem",
     "WhitenedStep",
     "WhitenedProblem",
@@ -167,6 +168,50 @@ class WhitenedProblem:
         return sum(len(steps) * stack.shape[-2] for steps, stack in groups)
 
 
+@dataclass(frozen=True, eq=False)
+class EquationStack:
+    """Equations of one kind and one shape, held as stacks.
+
+    ``steps`` are the ascending indices of the steps the equations
+    belong to.  ``blocks`` stacks their ``F`` (evolutions, ``H = I``)
+    or ``G`` (observations) as ``(S, rows, cols)``, and ``rhs`` their
+    ``c`` or ``o`` as ``(S, rows)``.  ``noise`` is the ``(S, rows,
+    rows)`` stack of lower Cholesky factors of their noise covariances
+    (as :func:`~repro.linalg.cholesky.spd_cholesky` returns them), or a
+    list of one :class:`~repro.linalg.cholesky.Whitener` per equation.
+    ``what`` names the covariance (``"evolution covariance K"``).
+    """
+
+    what: str
+    steps: tuple[int, ...]
+    blocks: np.ndarray
+    rhs: np.ndarray
+    noise: np.ndarray | list
+
+    def whitener(self, j: int) -> Whitener:
+        """Equation ``j``'s noise as a :class:`Whitener`."""
+        if isinstance(self.noise, np.ndarray):
+            return Whitener(self.noise[j], kind="factor", what=self.what)
+        return self.noise[j]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _locate(stacks: list[EquationStack], n_states: int):
+    """Per step: the index of the stack holding its equation (-1 for
+    none) and its position there."""
+    at = np.full(n_states, -1)
+    pos = np.zeros(n_states, dtype=int)
+    for s, stack in enumerate(stacks):
+        at[list(stack.steps)] = s
+        pos[list(stack.steps)] = np.arange(len(stack.steps))
+    return at, pos
+
+
 #: why :func:`whiten_problems` refuses a list of problems
 _MIXED = (
     "problems in one stack must share a structure signature; "
@@ -184,7 +229,9 @@ def whiten_problems(
     :func:`~repro.linalg.cholesky.stack_whiten` call.  Each stack has
     shape ``(S, len(problems), rows, cols)``: problem ``b``'s blocks
     are slice ``b`` of the batch axis, and its bits do not depend on
-    the other problems.
+    the other problems.  A member held as stacks
+    (:meth:`StateSpaceProblem.from_groups`) gives its blocks and noise
+    factors from its stacks; a member built from steps, from its steps.
 
     The problems must share their state dimensions and evolution row
     counts at every step.  Observation row counts may differ: a short
@@ -204,13 +251,19 @@ def whiten_problems(
         if p.state_dims != dims or _evolution_rows(p) != evo_rows:
             raise ValueError(_MIXED)
     # A step's observation rows: the most of any member.
-    rows = [max(r) for r in zip(*map(_observation_rows, problems))]
+    member_rows = [_observation_rows(p) for p in problems]
+    rows = [max(r) for r in zip(*member_rows)]
     evo_groups = [
         (steps, _evolution_stack(problems, steps, dtype))
         for steps in _grouped(zip(evo_rows, dims, dims[1:]), 1)
     ]
     obs_groups = [
-        (steps, _observation_stack(problems, steps, rows[steps[0]], dtype))
+        (
+            steps,
+            _observation_stack(
+                problems, member_rows, steps, rows[steps[0]], dims, dtype
+            ),
+        )
         for steps in _grouped(zip(rows, dims), 0)
     ]
     if dtype is None:
@@ -230,15 +283,12 @@ def whiten_problems(
 
 
 def _evolution_rows(problem: "StateSpaceProblem") -> list[int]:
-    return [step.evolution.F.shape[0] for step in problem.steps[1:]]
+    return problem.row_counts()[0][1:]
 
 
 def _observation_rows(problem: "StateSpaceProblem") -> list[int]:
     """Rows of each step's observation block, the prior's in step 0's."""
-    rows = [
-        0 if step.observation is None else step.observation.G.shape[0]
-        for step in problem.steps
-    ]
+    rows = list(problem.row_counts()[1])
     if problem.prior is not None:
         rows[0] += problem.prior.dim
     return rows
@@ -253,45 +303,104 @@ def _grouped(keys, first: int) -> list[tuple[int, ...]]:
     return [tuple(steps) for steps in groups.values()]
 
 
-def _whitened(whiteners: list[Whitener], dtype, *columns) -> np.ndarray:
-    """The raw blocks of ``len(whiteners)`` pieces, stacked and whitened.
+def _stacked(blocks: list[np.ndarray]) -> np.ndarray:
+    """Equal-shape blocks stacked on a new leading axis (one
+    concatenation, which promotes their dtypes)."""
+    return np.concatenate(blocks).reshape((len(blocks),) + blocks[0].shape)
 
-    Each of ``columns`` lists one block column of every piece —
-    matrices, or vectors that become one column — and the pieces' raw
-    blocks ``[M_1 | ... | v]`` are whitened in place.
+
+def _whitened(members: list[tuple], dtype) -> np.ndarray:
+    """The raw blocks of several members, stacked and whitened.
+
+    ``members[b]`` is ``(noise, *columns)`` for the same ``S`` pieces of
+    member ``b``: each column stacks one block column of the pieces —
+    ``(S, rows, width)`` matrices, or ``(S, rows)`` vectors that become
+    one column — and ``noise`` their whiteners or factors
+    (:func:`~repro.linalg.cholesky.stack_whiten`).  Returns the ``(S,
+    len(members), rows, cols)`` stack of the whitened raw blocks ``[M_1
+    | ... | v]``, piece ``s`` of member ``b`` at ``[s, b]``.
     """
-    count = len(whiteners)
-    parts = []
-    for blocks in columns:
-        flat = np.concatenate(blocks)
-        width = flat.shape[1] if flat.ndim == 2 else 1
-        parts.append(flat.reshape(count, -1, width))
+    pieces = len(members[0][1])
+    parts = [_column([m[c] for m in members]) for c in range(1, len(members[0]))]
     raw = np.concatenate(parts, axis=-1, dtype=dtype)
-    return stack_whiten(whiteners, raw)
+    white = stack_whiten(_interleaved([m[0] for m in members], pieces), raw)
+    return white.reshape((pieces, len(members)) + white.shape[1:])
 
 
-def _whitened_observations(obs: list, dtype) -> np.ndarray:
-    """The ``[G | o]`` blocks of observations, stacked and whitened."""
-    return _whitened(
-        [ob.L for ob in obs], dtype, [ob.G for ob in obs], [ob.o for ob in obs]
-    )
+def _column(stacks: list[np.ndarray]) -> np.ndarray:
+    """One block column of every member's pieces, ``(S * len(stacks),
+    rows, width)`` in ``(piece, member)`` order.
+
+    It is laid out as ``np.concatenate`` lays out the blocks one by one:
+    column-major when every block is, row-major otherwise.  The
+    concatenation of the columns takes its layout from theirs, and the
+    rounding of the products that later read the whitened stack
+    depends on that layout.
+    """
+    first = stacks[0]
+    pieces, rows = first.shape[:2]
+    width = first.shape[2] if first.ndim == 3 else 1
+    shape = (pieces * len(stacks), rows, width)
+    dtype = np.result_type(*stacks)
+    if (
+        first.ndim == 3
+        and rows > 1
+        and width > 1
+        and all(abs(a.strides[2]) > abs(a.strides[1]) for a in stacks)
+    ):
+        out = np.empty((width, shape[0] * rows), dtype).T.reshape(shape)
+    else:
+        out = np.empty(shape, dtype)
+    slots = out.reshape((pieces, len(stacks), rows, width))
+    for b, stack in enumerate(stacks):
+        slots[:, b] = stack if stack.ndim == 3 else stack[..., None]
+    return out
+
+
+def _interleaved(noises: list, pieces: int):
+    """The members' noise in ``(piece, member)`` order: one factor stack
+    when every member gives one, a list otherwise."""
+    if len(noises) == 1:
+        return noises[0]
+    if all(isinstance(n, np.ndarray) for n in noises):
+        out = np.empty(
+            (pieces, len(noises)) + noises[0].shape[1:], np.result_type(*noises)
+        )
+        for b, noise in enumerate(noises):
+            out[:, b] = noise
+        return out.reshape((-1,) + out.shape[2:])
+    return [noise[s] for s in range(pieces) for noise in noises]
 
 
 def _evolution_stack(problems: list, steps: tuple, dtype) -> np.ndarray:
     """The whitened ``[B | D | rhs_BD]`` stack of one evolution group."""
-    evos = [p.steps[i].evolution for i in steps for p in problems]
-    white = _whitened(
-        [e.K for e in evos],
-        dtype,
-        [e.F for e in evos],
-        [e.H for e in evos],
-        [e.c for e in evos],
-    )
-    return white.reshape((len(steps), len(problems)) + white.shape[1:])
+    return _whitened([p._evolution_parts(steps) for p in problems], dtype)
+
+
+def _fills(have: list[int], steps: tuple, rows: int) -> bool:
+    """Whether every one of ``steps`` has ``rows`` rows in ``have``."""
+    first, end = steps[0], steps[-1] + 1
+    if end - first == len(steps):
+        return have[first:end].count(rows) == len(steps)
+    return all(have[i] == rows for i in steps)
+
+
+def _prior_piece(prior: GaussianPrior | None) -> tuple | None:
+    """``(G, o, noise)`` of the prior as an observation of ``u_0``, in
+    the mean's dtype."""
+    if prior is None:
+        return None
+    return np.eye(prior.dim, dtype=prior.mean.dtype), prior.mean, prior.cov
+
+
+@functools.lru_cache(maxsize=64)
+def _identities(count: int, n: int, dtype) -> np.ndarray:
+    """A read-only ``(count, n, n)`` stack of identities."""
+    return np.broadcast_to(np.eye(n, dtype=dtype), (count, n, n))
 
 
 def _observation_stack(
-    problems: list, steps: tuple, rows: int, dtype
+    problems: list, member_rows: list, steps: tuple, rows: int, dims, dtype
 ) -> np.ndarray | None:
     """The whitened ``[C | rhs_C]`` stack of one observation group.
 
@@ -304,29 +413,29 @@ def _observation_stack(
     if not rows:
         return None
     count = len(problems)
-    n = problems[0].steps[steps[0]].state_dim
-    shape = (len(steps), count, rows, n + 1)
-    obs = [p.steps[i].observation for i in steps for p in problems]
+    shape = (len(steps), count, rows, dims[steps[0]] + 1)
     prior = steps[0] == 0 and any(p.prior is not None for p in problems)
-    if not prior and all(
-        ob is not None and ob.G.shape[0] == rows for ob in obs
-    ):
-        return _whitened_observations(obs, dtype).reshape(shape)
+    if not prior and all(_fills(have, steps, rows) for have in member_rows):
+        return _whitened([p._observation_parts(steps) for p in problems], dtype)
     slots: dict = {}
-    for at, ob in enumerate(obs):
-        s, b = divmod(at, count)
-        pieces = [ob] if ob is not None else []
-        if steps[s] == 0 and problems[b].prior is not None:
-            pieces.insert(0, problems[b].prior.as_observation())
-        offset = 0
-        for piece in pieces:
-            slots.setdefault((offset, piece.rows), []).append((s, b, piece))
-            offset += piece.rows
+    for s, i in enumerate(steps):
+        for b, p in enumerate(problems):
+            # the prior's rows ``I u_0 = mean``, then the observation's
+            pieces = [_prior_piece(p.prior) if i == 0 else None]
+            pieces.append(p._observation_piece(i))
+            offset = 0
+            for piece in pieces:
+                if piece is None:
+                    continue
+                piece_rows = piece[0].shape[0]
+                slots.setdefault((offset, piece_rows), []).append((s, b, piece))
+                offset += piece_rows
     parts = []
     for (offset, piece_rows), members in slots.items():
-        white = _whitened_observations([ob for _, _, ob in members], dtype)
+        blocks, rhs, noise = zip(*(piece for _, _, piece in members))
+        white = _whitened([(list(noise), _stacked(blocks), _stacked(rhs))], dtype)
         where = ([s for s, _, _ in members], [b for _, b, _ in members])
-        parts.append((where + (slice(offset, offset + piece_rows),), white))
+        parts.append((where + (slice(offset, offset + piece_rows),), white[:, 0]))
     out = np.zeros(
         shape, functools.reduce(np.promote_types, [w.dtype for _, w in parts])
     )
@@ -375,21 +484,96 @@ class StateSpaceProblem:
         self.steps = steps
         self.prior = prior
 
+    #: the evolution and observation :class:`EquationStack` lists of a
+    #: problem held as stacks (:meth:`from_groups`); ``None`` when it is
+    #: built from steps
+    evolution_stacks: list[EquationStack] | None = None
+    observation_stacks: list[EquationStack] | None = None
+
+    @classmethod
+    def from_groups(
+        cls,
+        dims,
+        evolution: list[EquationStack],
+        observation: list[EquationStack],
+        prior: GaussianPrior | None = None,
+    ) -> "StateSpaceProblem":
+        """A problem held as per-shape stacks of its equations.
+
+        ``dims`` are the state dimensions; ``evolution`` must hold one
+        equation for each of steps ``1 .. k`` and ``observation`` at
+        most one per step (see :class:`EquationStack`).  Nothing is
+        validated: the caller builds consistent stacks
+        (:meth:`~repro.model.nonlinear.NonlinearProblem.linearize`).
+        Whitening (:func:`whiten_problems`) and bucketing read the
+        stacks; :attr:`steps` is a view built from them on first use.
+        """
+        problem = cls.__new__(cls)
+        problem._dims = tuple(dims)
+        problem.evolution_stacks = list(evolution)
+        problem.observation_stacks = list(observation)
+        problem.prior = prior
+        return problem
+
+    @functools.cached_property
+    def steps(self) -> list[Step]:
+        """The steps of a problem held as stacks, built on first use.
+
+        Their ``F``, ``c``, ``G`` and ``o`` are read-only views into the
+        stacks, so a write raises instead of being ignored by
+        whitening, which reads the stacks.  (A problem built from steps
+        holds its ``steps`` list as given.)
+        """
+        evolution: dict[int, Evolution] = {}
+        for stack in self.evolution_stacks:
+            blocks, rhs = _read_only(stack.blocks), _read_only(stack.rhs)
+            for j, i in enumerate(stack.steps):
+                evolution[i] = Evolution(F=blocks[j], c=rhs[j], K=stack.whitener(j))
+        observation: dict[int, Observation] = {}
+        for stack in self.observation_stacks:
+            blocks, rhs = _read_only(stack.blocks), _read_only(stack.rhs)
+            for j, i in enumerate(stack.steps):
+                observation[i] = Observation(
+                    G=blocks[j], o=rhs[j], L=stack.whitener(j)
+                )
+        return [
+            Step(
+                state_dim=n,
+                evolution=evolution.get(i),
+                observation=observation.get(i),
+            )
+            for i, n in enumerate(self._dims)
+        ]
+
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
     @property
     def k(self) -> int:
         """Index of the last state (``k + 1`` states total)."""
-        return len(self.steps) - 1
+        return self.n_states - 1
 
     @property
     def n_states(self) -> int:
+        if self.evolution_stacks is not None:
+            return len(self._dims)
         return len(self.steps)
 
     @property
     def state_dims(self) -> list[int]:
+        if self.evolution_stacks is not None:
+            return list(self._dims)
         return [s.state_dim for s in self.steps]
+
+    def row_counts(self) -> tuple[list[int], list[int]]:
+        """Rows of each step's evolution and observation block (``0``
+        where it has none; the prior's rows are not counted)."""
+        if self.evolution_stacks is not None:
+            return self._stacked_rows
+        return (
+            [0 if s.evolution is None else s.evolution.rows for s in self.steps],
+            [s.obs_dim for s in self.steps],
+        )
 
     def total_state_dim(self) -> int:
         return sum(self.state_dims)
@@ -406,6 +590,86 @@ class StateSpaceProblem:
 
     def observation_count(self) -> int:
         return sum(1 for s in self.steps if s.observation is not None)
+
+    # ------------------------------------------------------------------
+    # where whitening reads a member's blocks (see whiten_problems)
+    # ------------------------------------------------------------------
+    @functools.cached_property
+    def _located(self):
+        n = len(self._dims)
+        return (
+            _locate(self.evolution_stacks, n),
+            _locate(self.observation_stacks, n),
+        )
+
+    @functools.cached_property
+    def _stacked_rows(self) -> tuple[list[int], list[int]]:
+        counts = []
+        for stacks, (at, _) in zip(
+            (self.evolution_stacks, self.observation_stacks), self._located
+        ):
+            rows = [stack.blocks.shape[1] for stack in stacks] + [0]
+            counts.append(np.asarray(rows)[at].tolist())
+        return counts[0], counts[1]
+
+    def _gathered(self, kind: int, steps: tuple) -> tuple:
+        """``(blocks, rhs, noise)`` of the stacked equations of ``kind``
+        (0 evolution, 1 observation) at ``steps``, one at each: views
+        when one stack holds them in a run."""
+        stacks = (self.evolution_stacks, self.observation_stacks)[kind]
+        for stack in stacks:
+            if stack.steps == steps:
+                return stack.blocks, stack.rhs, stack.noise
+        at, pos = self._located[kind]
+        index = np.asarray(steps)
+        where, slots = at[index], pos[index]
+        if (where == where[0]).all() and slots[-1] - slots[0] == len(steps) - 1:
+            stack = stacks[where[0]]
+            run = slice(int(slots[0]), int(slots[-1]) + 1)
+            return stack.blocks[run], stack.rhs[run], stack.noise[run]
+        taken = [(stacks[w], q) for w, q in zip(where.tolist(), slots.tolist())]
+        return (
+            _stacked([s.blocks[q] for s, q in taken]),
+            _stacked([s.rhs[q] for s, q in taken]),
+            [s.noise[q] for s, q in taken],
+        )
+
+    def _evolution_parts(self, steps: tuple) -> tuple:
+        """``(noise, F, H, c)`` of the evolutions at ``steps``."""
+        if self.evolution_stacks is None:
+            evos = [self.steps[i].evolution for i in steps]
+            return (
+                [e.K for e in evos],
+                _stacked([e.F for e in evos]),
+                _stacked([e.H for e in evos]),
+                _stacked([e.c for e in evos]),
+            )
+        blocks, rhs, noise = self._gathered(0, steps)
+        return noise, blocks, _identities(*blocks.shape[:2], blocks.dtype), rhs
+
+    def _observation_parts(self, steps: tuple) -> tuple:
+        """``(noise, G, o)`` of the observations at ``steps`` (every
+        one of which has one)."""
+        if self.observation_stacks is None:
+            obs = [self.steps[i].observation for i in steps]
+            return (
+                [ob.L for ob in obs],
+                _stacked([ob.G for ob in obs]),
+                _stacked([ob.o for ob in obs]),
+            )
+        blocks, rhs, noise = self._gathered(1, steps)
+        return noise, blocks, rhs
+
+    def _observation_piece(self, i: int) -> tuple | None:
+        """``(G, o, noise)`` of step ``i``'s observation, if it has one."""
+        if self.observation_stacks is None:
+            ob = self.steps[i].observation
+            return None if ob is None else (ob.G, ob.o, ob.L)
+        at, pos = self._located[1]
+        if at[i] < 0:
+            return None
+        stack = self.observation_stacks[at[i]]
+        return stack.blocks[pos[i]], stack.rhs[pos[i]], stack.noise[pos[i]]
 
     def nonfinite_field(self) -> str | None:
         """Name the first NaN or infinite value of the problem's data.
@@ -482,8 +746,9 @@ class StateSpaceProblem:
     def objective(self, states: list[np.ndarray]) -> float:
         """The generalized least-squares objective ``||U(A u - b)||^2``.
 
-        Used by tests (the smoothed trajectory must minimize it) and by
-        the nonlinear solvers' line-search/damping logic.
+        Used by tests: the smoothed trajectory must minimize it.  (The
+        nonlinear solvers' line search and damping evaluate
+        :meth:`~repro.model.nonlinear.NonlinearProblem.objective`.)
         """
         if len(states) != self.n_states:
             raise ValueError(

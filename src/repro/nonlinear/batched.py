@@ -8,8 +8,12 @@ N separate inner solves per outer iteration; this driver regroups them
 so each outer iteration is ONE ``call_smoother_many`` on the owner's
 ``inner`` smoother — by default the linearized problems of every
 not-yet-converged problem go through the stacked, plan-cached
-:class:`~repro.batch.BatchSmoother` kernels together, and the
-plan cache, ``xp`` array backend, and mixed-precision apply for free.
+:class:`~repro.batch.BatchSmoother` kernels together, and the plan
+cache and mixed precision apply for free.  (The iterated smoothers
+reject a non-numpy ``array_module``: their linearization and step rules
+run on the host.)  Each linearization is held as per-shape stacks
+(:meth:`~repro.model.nonlinear.NonlinearProblem.linearize`), which the
+batched smoother whitens directly.
 
 Per-problem decisions (step damping, accept/reject, convergence) are
 computed host-side from each problem's own slice, and converged

@@ -275,6 +275,25 @@ class TestNaNPropagationGuard:
         ):
             repro.make_smoother(name).smooth_many(fleet)
 
+    @pytest.mark.parametrize(
+        "name, smoother",
+        [
+            ("batch-odd-even", "the batched odd-even smoother"),
+            ("batch-associative", "the batched associative smoother"),
+        ],
+    )
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_batch_smooth_names_the_smoother_not_an_index(self, field, name, smoother):
+        """A single smooth is no workload: its error names the batched
+        smoother and no problem index."""
+        import repro
+
+        with pytest.raises(
+            ValueError,
+            match=rf"^step 6 has a non-finite {field}; {smoother} needs finite data$",
+        ):
+            repro.make_smoother(name).smooth(self.poisoned(field))
+
     @pytest.mark.parametrize("dtype", [None, "mixed"])
     @pytest.mark.parametrize("field", sorted(CASES))
     def test_smooth_many_names_problem_step_and_field(self, field, dtype):

@@ -58,6 +58,14 @@ class TestSpdCholesky:
         ):
             Evolution(F=np.eye(2), K=k)
 
+    def test_infinite_variance_is_rejected(self):
+        """LAPACK factors a ``+inf`` variance into an infinite diagonal,
+        which whitening would turn into a zero row."""
+        with pytest.raises(
+            np.linalg.LinAlgError, match="^K has a non-finite entry$"
+        ):
+            spd_cholesky(np.array([[np.inf, 0.0], [0.0, 1.0]]), "K")
+
 
 class TestSpdCholeskyStack:
     """The ``(N, n, n)`` branch: same checks, same bits, named slices."""
@@ -117,6 +125,15 @@ class TestSpdCholeskyStack:
         ) as info:
             spd_cholesky(stack[[0, 2, 3]].copy(), "K")
         assert info.value.batch_slices == [2]
+
+    def test_infinite_variance_is_rejected(self):
+        stack = np.stack([np.eye(2)] * 3)
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(
+            np.linalg.LinAlgError, match="^K at step 1 has a non-finite entry$"
+        ) as info:
+            spd_cholesky(stack, "K", names=[f"step {i}" for i in range(3)])
+        assert info.value.batch_slices == [1]
 
     def test_empty_and_nonsquare(self):
         assert spd_cholesky(np.zeros((0, 2, 2))).shape == (0, 2, 2)

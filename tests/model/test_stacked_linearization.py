@@ -30,6 +30,12 @@ from repro.model.nonlinear import (
     pendulum_problem,
     pointwise,
 )
+from repro.batch import BatchSmoother
+from repro.batch.plan import workload_key
+from repro.batch.stacking import bucket_problems, stack_whitened
+from repro.model.generators import random_problem
+from repro.model.nonlinear import as_nonlinear
+from repro.model.problem import StateSpaceProblem
 from repro.model.steps import Evolution, GaussianPrior, Observation, _as_cov_whitener
 
 
@@ -310,6 +316,148 @@ def test_linearize_matches_per_step_construction(model):
         assert_close(out.observation.L.factor_matrix(), noise.factor_matrix())
 
 
+# ---------------------------------------------------------------------------
+# the linearized problem is held as stacks
+# ---------------------------------------------------------------------------
+
+
+def linear_model(k: int, seed: int):
+    problem = random_problem(k, seed=seed, dims=3, random_cov=True, obs_prob=0.7)
+    return as_nonlinear(problem), np.zeros((k + 1, 3))
+
+
+#: problem builders by ``(k, seed)``; the mixed-covariance problem has
+#: a fixed length
+STACKED_MODELS = {
+    "pendulum": lambda k, seed: pendulum_problem(k, seed=seed),
+    "bearings": lambda k, seed: bearings_only_tunnel_problem(k, seed=seed),
+    "turn": lambda k, seed: coordinated_turn_problem(k, seed=seed),
+    "cubic": lambda k, seed: cubic_sensor_problem(k, seed=seed),
+    "mixed": lambda k, seed: mixed_covariance_problem(),
+    "linear": linear_model,
+}
+
+
+def linearized(model: str, k: int, seed: int, sigma: bool, dtype):
+    problem, truth = STACKED_MODELS[model](k, seed)
+    rng = np.random.default_rng(seed)
+    trajectory = [t + 0.1 * rng.normal(size=t.shape) for t in truth]
+    if not sigma:
+        return problem.linearize(trajectory, dtype=dtype)
+    covs = [0.05 * random_spd(rng, len(t)) for t in truth]
+    return problem.linearize(
+        trajectory, linearizer=SigmaPointLinearizer(), covariances=covs, dtype=dtype
+    )
+
+
+def step_built(linear: StateSpaceProblem) -> StateSpaceProblem:
+    """The same problem built from its steps view."""
+    return StateSpaceProblem(linear.steps, linear.prior)
+
+
+def assert_same_whitening(a, b):
+    """Equal stacks, bit for bit, in equal layouts (the rounding of the
+    products that read a stack depends on its layout)."""
+    assert a.dims == b.dims
+    assert len(a.obs) == len(b.obs) and len(a.evo) == len(b.evo)
+    for (steps_a, x), (steps_b, y) in zip(a.obs + a.evo, b.obs + b.evo):
+        assert steps_a == steps_b
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.strides == y.strides
+        assert np.array_equal(x, y)
+
+
+class TestLinearizedStacks:
+    """``linearize`` returns per-shape stacks that whiten exactly like
+    the problem built from their steps view."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(STACKED_MODELS)),
+        k=st.integers(1, 14),
+        extra=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+        sigma=st.booleans(),
+        dtype=st.sampled_from([None, np.float32]),
+    )
+    def test_stacks_whiten_like_their_steps(self, model, k, extra, seed, sigma, dtype):
+        linear = linearized(model, k, seed, sigma, dtype)
+        assert linear.evolution_stacks is not None
+        reference = step_built(linear)
+        assert_same_whitening(linear.whiten(), reference.whiten())
+        assert_same_whitening(
+            stack_whitened([linear]), stack_whitened([reference])
+        )
+        # A longer mate of the same structure: the bucket pads the
+        # shorter member with one more evolution stack.
+        mate = linearized(model, k + extra, seed + 1, sigma, dtype)
+        if model == "mixed":
+            mate = linearized("pendulum", 8 + extra, seed + 1, sigma, dtype)
+        fleet = [linear, mate]
+        references = [step_built(p) for p in fleet]
+        for bucket in bucket_problems(fleet):
+            assert_same_whitening(
+                stack_whitened(bucket.members(fleet)),
+                stack_whitened(bucket.members(references)),
+            )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        models=st.lists(
+            st.sampled_from(sorted(STACKED_MODELS)), min_size=2, max_size=4
+        ),
+        k=st.integers(1, 10),
+        seed=st.integers(0, 2**16),
+        sigma=st.booleans(),
+    )
+    def test_mixed_fleet_agrees_with_smoothing_each_alone(self, models, k, seed, sigma):
+        """Stacked and step-built members share buckets."""
+        fleet = [
+            linearized(model, k + j, seed + j, sigma, None)
+            for j, model in enumerate(models)
+        ]
+        fleet += [step_built(p) for p in fleet]
+        smoother = BatchSmoother()
+        together = smoother.smooth_many(fleet)
+        for problem, result in zip(fleet, together):
+            alone = smoother.smooth(problem)
+            for a, b in zip(result.means, alone.means):
+                assert_close(a, b, rtol=1e-9)
+            for a, b in zip(result.covariances, alone.covariances):
+                assert_close(a, b, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("evolution", "F"),
+            ("evolution", "c"),
+            ("observation", "G"),
+            ("observation", "o"),
+        ],
+    )
+    def test_steps_view_is_read_only(self, kind, field):
+        """A write into the view would be ignored by whitening, which
+        reads the stacks; it raises instead."""
+        linear = linearized("bearings", 6, 1, True, None)
+        stack = getattr(linear, f"{kind}_stacks")[0]
+        block = getattr(getattr(linear.steps[3], kind), field)
+        assert np.shares_memory(block, stack.blocks if field in "FG" else stack.rhs)
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 1.0
+
+    def test_bucketing_reads_the_stacks(self, monkeypatch):
+        """Signatures, plan keys and padding never build the steps."""
+        fleet = [linearized("pendulum", k, k, True, None) for k in (5, 7)]
+        calls = []
+        monkeypatch.setattr(
+            StateSpaceProblem, "steps", property(lambda p: calls.append(p))
+        )
+        workload_key(fleet, exact_obs=True)
+        for bucket in bucket_problems(fleet):
+            stack_whitened(bucket.members(fleet))
+        assert calls == []
+
+
 def test_float32_linearization_stays_float32():
     problem, truth = mixed_covariance_problem()
     covs = [0.05 * np.eye(2) for _ in truth]
@@ -363,6 +511,33 @@ def test_indefinite_inflated_noise_names_its_step():
         match=r"evolution covariance K \+ omega at step 6 is not positive definite",
     ):
         problem.linearize(list(truth), linearizer=lin, covariances=covs)
+
+
+@dataclass(frozen=True)
+class InfiniteOmega(PoisonedOmega):
+    """Sigma-point SLR whose residual covariance has ``+inf`` on one
+    diagonal entry at one position of the ``rows``-row stack."""
+
+    def linearize(self, fn, mean, cov=None):
+        lf = SigmaPointLinearizer().linearize(fn, mean, cov)
+        omega = lf.omega.copy()
+        if omega.shape[-1] == self.rows:
+            omega[self.position, 0, 0] = np.inf
+        return LinearizedFn(F=lf.F, c=lf.c, omega=omega)
+
+
+def test_infinite_inflated_noise_names_its_step():
+    """An infinite variance factors without error; it is named instead
+    of whitening its row to zero."""
+    problem, truth = pendulum_problem(10, seed=1)
+    covs = [0.05 * np.eye(2) for _ in truth]
+    with pytest.raises(
+        np.linalg.LinAlgError,
+        match=r"evolution covariance K \+ omega at step 6 has a non-finite entry",
+    ):
+        problem.linearize(
+            list(truth), linearizer=InfiniteOmega(position=5, rows=2), covariances=covs
+        )
 
 
 @pytest.mark.parametrize("method", ["linearize", "objective"])
@@ -435,7 +610,12 @@ def test_nonfinite_prior_rejected_at_construction(field):
     if field == "mean":
         prior = GaussianPrior(mean=[1.2, np.nan], cov=prior.cov)
     else:
-        prior = GaussianPrior(mean=prior.mean, cov=np.diag([np.inf, 1.0]))
+        # A covariance matrix with an infinite variance is rejected
+        # when it is factored; a factor given as such is not factored.
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite entry"):
+            GaussianPrior(mean=prior.mean, cov=np.diag([np.inf, 1.0]))
+        infinite = Whitener(np.diag([np.inf, 1.0]), kind="factor")
+        prior = GaussianPrior(mean=prior.mean, cov=infinite)
     with pytest.raises(ValueError, match=f"prior has a non-finite {field}"):
         NonlinearProblem(problem.steps, prior)
 

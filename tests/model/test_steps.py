@@ -61,6 +61,14 @@ class TestObservation:
         obs = Observation(G=np.array([1.0, 2.0]), o=np.array([0.5]))
         assert obs.G.shape == (1, 2)
 
+    def test_infinite_variance_rejected(self):
+        """Whitening by its infinite factor would drop the row."""
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match="observation covariance L has a non-finite entry",
+        ):
+            Observation(G=np.eye(3), o=np.zeros(3), L=np.diag([np.inf, 1.0, 1.0]))
+
 
 class TestGaussianPrior:
     def test_as_observation(self):
